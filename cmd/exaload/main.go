@@ -1,6 +1,6 @@
 // Command exaload is the serving layer's workload tool: a temporal
 // request generator, a trace recorder/replayer, and a saturation
-// analyzer for exaserve and its mesh mode.
+// analyzer for exaserve.
 //
 // Modes:
 //
@@ -103,7 +103,7 @@ func usage() {
 
 modes:
   gen     generate a seed-deterministic arrival trace (no server needed)
-  run     drive a live exaserve/mesh from a rate profile, open-loop
+  run     drive a live exaserve from a rate profile, open-loop
   replay  re-issue a recorded trace against a live server
   sweep   find the knee: sweep arrival rate, report latency/429s/cache
 

@@ -25,15 +25,6 @@
 // exaresil_chaos_injected_total{fault=...}. Crashed jobs fail but leave a
 // checkpoint snapshot behind; resubmitting the same spec resumes from it
 // (see DESIGN.md §10 and scripts/chaos_soak.sh).
-//
-// With -replicas N (N > 1) the same API is served by an internal/mesh
-// coordinator instead of a single server: submissions pass an admission
-// policy (-admission always|reject-all|token-bucket), a routing policy
-// (-routing affinity|least-loaded|random2), and land on one of N embedded
-// replicas. Replica death is survivable — heartbeat monitoring re-routes a
-// dead replica's jobs to survivors with their checkpoint snapshots carried
-// along (DESIGN.md §12). -mesh-kill-interval arms a kill/revive chaos loop
-// that exercises exactly that path (see scripts/mesh_soak.sh).
 package main
 
 import (
@@ -52,7 +43,6 @@ import (
 
 	"exaresil/internal/chaos"
 	"exaresil/internal/experiments"
-	"exaresil/internal/mesh"
 	"exaresil/internal/obs"
 	"exaresil/internal/serve"
 )
@@ -91,14 +81,6 @@ func run(argv []string) error {
 	autoUp := fs.Float64("autoscale-up", 1.5, "scale up above this smoothed queued-jobs-per-worker signal")
 	autoDown := fs.Float64("autoscale-down", 0.25, "scale down below this smoothed queued-jobs-per-worker signal")
 	autoCooldown := fs.Duration("autoscale-cooldown", 0, "minimum gap between scaling decisions (0 = 3x interval)")
-	replicas := fs.Int("replicas", 1, "embedded replica count (>1 serves through the mesh coordinator)")
-	routing := fs.String("routing", "affinity", "mesh routing policy: affinity, least-loaded, or random2")
-	admission := fs.String("admission", "always", "mesh admission policy: always, reject-all, or token-bucket")
-	admitRate := fs.Float64("admit-rate", 50, "token-bucket refill rate (submissions/s)")
-	admitBurst := fs.Int("admit-burst", 100, "token-bucket burst capacity")
-	hbInterval := fs.Duration("heartbeat-interval", 100*time.Millisecond, "replica heartbeat period")
-	hbTimeout := fs.Duration("heartbeat-timeout", 0, "stale-heartbeat threshold before failover (0 = 5x interval)")
-	meshKill := fs.Duration("mesh-kill-interval", 0, "kill-and-revive one replica this often (0 = off; needs -replicas > 1)")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
@@ -156,52 +138,11 @@ func run(argv []string) error {
 		return fmt.Errorf("-min-workers/-max-workers need -autoscale")
 	}
 
-	// One server or a mesh of them behind the same API; drain is the only
-	// lifecycle difference the shutdown path sees.
-	var handler http.Handler
-	var drain func(context.Context) error
-	if *replicas > 1 {
-		adm, err := mesh.ParseAdmission(*admission, *admitRate, *admitBurst)
-		if err != nil {
-			return err
-		}
-		rtr, err := mesh.ParseRouter(*routing, *replicas, int64(*chaosSeed))
-		if err != nil {
-			return err
-		}
-		coord, err := mesh.New(mesh.Config{
-			Replicas:          *replicas,
-			Serve:             scfg,
-			Admission:         adm,
-			Router:            rtr,
-			HeartbeatInterval: *hbInterval,
-			HeartbeatTimeout:  *hbTimeout,
-			Obs:               reg,
-		})
-		if err != nil {
-			return err
-		}
-		handler = coord.Handler()
-		drain = coord.Drain
-		log.Printf("exaserve: mesh of %d replicas (%s routing, %s admission)", *replicas, rtr.Name(), adm.Name())
-		if *meshKill > 0 {
-			timeout := *hbTimeout
-			if timeout <= 0 {
-				timeout = 5 * *hbInterval
-			}
-			go meshKillLoop(coord, *meshKill, timeout+2**hbInterval)
-		}
-	} else {
-		if *meshKill > 0 {
-			return fmt.Errorf("-mesh-kill-interval needs -replicas > 1")
-		}
-		srv, err := serve.New(scfg)
-		if err != nil {
-			return err
-		}
-		handler = srv.Handler()
-		drain = srv.Drain
+	srv, err := serve.New(scfg)
+	if err != nil {
+		return err
 	}
+	handler := srv.Handler()
 	if inj != nil {
 		handler = inj.Middleware(handler)
 		log.Printf("exaserve: chaos armed (seed %d: latency %.0f%%/%s, error %.0f%%, reset %.0f%%, crash %.0f%% after <=%d cells)",
@@ -214,15 +155,12 @@ func run(argv []string) error {
 		return err
 	}
 	hs := &http.Server{Handler: handler}
+	h := srv.Health()
 	log.Printf("exaserve: listening on http://%s (%d workers, %d queue slots)",
-		ln.Addr(), *workers, max(*queue, 2**workers))
-	if *autoscale {
-		maxW := *maxWorkers
-		if maxW <= 0 {
-			maxW = 4 * max(*minWorkers, 1)
-		}
+		ln.Addr(), h.Workers, h.QueueCapacity)
+	if h.Autoscale {
 		log.Printf("exaserve: autoscaler armed (%d-%d workers, every %s, up>%.2f down<%.2f)",
-			*minWorkers, maxW, *autoInterval, *autoUp, *autoDown)
+			h.MinWorkers, h.MaxWorkers, *autoInterval, *autoUp, *autoDown)
 	}
 
 	serveErr := make(chan error, 1)
@@ -242,7 +180,7 @@ func run(argv []string) error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := drain(ctx); err != nil {
+	if err := srv.Drain(ctx); err != nil {
 		log.Printf("exaserve: drain: %v", err)
 	}
 	if err := hs.Shutdown(ctx); err != nil {
@@ -250,39 +188,6 @@ func run(argv []string) error {
 	}
 	log.Printf("exaserve: drained, goodbye")
 	return nil
-}
-
-// meshKillLoop is the mesh-level fault injector: every interval it kills
-// one live replica (round-robin), waits out the failure-detection window,
-// and revives it. The last live replica is never killed — the loop
-// exercises failover, not total outage.
-func meshKillLoop(coord *mesh.Coordinator, every, detect time.Duration) {
-	next := 0
-	for {
-		time.Sleep(every)
-		target := next % coord.Replicas()
-		next++
-		live := 0
-		for i := 0; i < coord.Replicas(); i++ {
-			if coord.Alive(i) {
-				live++
-			}
-		}
-		if live <= 1 || !coord.Alive(target) {
-			continue
-		}
-		log.Printf("exaserve: mesh chaos: killing replica %d", target)
-		if err := coord.Kill(target); err != nil {
-			log.Printf("exaserve: mesh chaos: kill %d: %v", target, err)
-			continue
-		}
-		time.Sleep(detect)
-		if err := coord.Revive(target); err != nil {
-			log.Printf("exaserve: mesh chaos: revive %d: %v", target, err)
-			continue
-		}
-		log.Printf("exaserve: mesh chaos: revived replica %d", target)
-	}
 }
 
 // defaultWorkers sizes the pool to the host without oversubscribing small

@@ -20,19 +20,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"exaresil/internal/experiments"
 	"exaresil/internal/load"
-	"exaresil/internal/mesh"
 	"exaresil/internal/rng"
 	"exaresil/internal/serve"
 	"exaresil/internal/serveclient"
@@ -73,7 +69,6 @@ func run(argv []string) error {
 	attempts := fs.Int("attempts", 10, "max submissions per request (retries + resubmits)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-request deadline")
 	maxP99 := fs.Duration("max-p99", 0, "fail when p99 latency exceeds this (0 = report only)")
-	requireFailover := fs.Bool("require-failover", false, "fail unless the target mesh reports at least one replica failover")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
@@ -174,35 +169,7 @@ func run(argv []string) error {
 	if *maxP99 > 0 && len(lats) > 0 && pctlRaw(lats, 0.99) > *maxP99 {
 		return fmt.Errorf("p99 latency %s exceeds the %s budget", pctl(lats, 0.99), *maxP99)
 	}
-	if mv, err := fetchMeshView(*addr); err == nil {
-		fmt.Printf("exasoak: mesh: %d replicas, %d failovers, %d rerouted jobs, %d handoff cells\n",
-			len(mv.Replicas), mv.Failovers, mv.ReroutedJobs, mv.HandoffCells)
-		if *requireFailover && mv.Failovers == 0 {
-			return fmt.Errorf("-require-failover: the mesh reports zero failovers — the soak never exercised replica death")
-		}
-	} else if *requireFailover {
-		return fmt.Errorf("-require-failover: %w", err)
-	}
 	return nil
-}
-
-// fetchMeshView reads GET /v1/mesh from the first endpoint; a plain
-// single-process exaserve answers 404 and yields an error.
-func fetchMeshView(addr string) (mesh.View, error) {
-	base := strings.TrimRight(strings.TrimSpace(strings.Split(addr, ",")[0]), "/")
-	resp, err := http.Get(base + "/v1/mesh")
-	if err != nil {
-		return mesh.View{}, fmt.Errorf("fetch mesh view: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return mesh.View{}, fmt.Errorf("fetch mesh view: HTTP %d (not a mesh?)", resp.StatusCode)
-	}
-	var mv mesh.View
-	if err := json.NewDecoder(resp.Body).Decode(&mv); err != nil {
-		return mesh.View{}, fmt.Errorf("decode mesh view: %w", err)
-	}
-	return mv, nil
 }
 
 // expectedDigests runs every vocabulary spec through the experiments

@@ -1,9 +1,9 @@
 // Package load is the serving layer's traffic model: a seed-deterministic
 // temporal workload generator, a request-trace recorder/replayer, and a
-// saturation analyzer that finds the knee of an exaserve fleet.
+// saturation analyzer that finds the knee of an exaserve.
 //
 // The cluster study models the paper's 100-app arrival patterns, but until
-// this package the *service* (internal/serve, internal/mesh) was only ever
+// this package the *service* (internal/serve) was only ever
 // exercised by uniform closed-loop clients. The resilience literature the
 // repository tracks (Hukerikar & Engelmann's pattern catalog, TeaMPI's
 // performance-under-load methodology) is explicit that resilience
@@ -15,13 +15,13 @@
 //   - Generate (gen.go) drives an open-loop arrival process (Poisson via
 //     thinning, or deterministic pacing) from a Profile and draws each
 //     arrival's spec from a Zipf popularity law over a ranked vocabulary,
-//     so the result cache and affinity router see realistic skew.
+//     so the result cache sees realistic skew.
 //   - Trace (trace.go) records a request stream — spec, arrival offset,
 //     outcome, latency — as versioned JSONL and replays it verbatim or
 //     time-scaled. Malformed lines are rejected with their line number,
 //     never skipped.
 //   - Target (target.go) abstracts "something that serves arrivals":
-//     HTTPTarget paces wall-clock arrivals at a live exaserve or mesh,
+//     HTTPTarget paces wall-clock arrivals at a live exaserve,
 //     while Inproc (inproc.go) embeds a real serve.Server behind a gated
 //     stub runner and a virtual clock, making admission, single-flight,
 //     cache, and 429 outcomes — and the reported latencies — exactly

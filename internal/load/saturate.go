@@ -75,11 +75,11 @@ type Step struct {
 	// requests, in seconds.
 	P50, P95, P99 float64
 	// CacheHits, CacheJoined, CacheMisses are the server-side cache
-	// outcome deltas for the step. The server counts a saturated
-	// admission as a miss before rejecting it, so misses include the
-	// rejected arrivals.
+	// outcome deltas for the step. A rejected arrival is in none of
+	// them: a miss counts only once the pool admits its flight.
 	CacheHits, CacheJoined, CacheMisses uint64
-	// HitRate is CacheHits over all cache lookups in the step.
+	// HitRate is CacheHits over the step's admitted submissions (hits +
+	// joins + misses).
 	HitRate float64
 	// Samples holds the per-arrival outcomes when SweepConfig.KeepSteps
 	// was set.
@@ -269,7 +269,7 @@ func (r *Report) Summary() string {
 }
 
 // GoldenSweepTable runs the pinned deterministic sweep — a fresh
-// in-process single-replica exaserve, the pinned seed/grid/vocabulary —
+// in-process exaserve, the pinned seed/grid/vocabulary —
 // and renders its table. cmd/exacheck digests it into the golden
 // manifest; cmd/exaload runs the same configuration via `sweep -inproc`
 // defaults, so the CLI and the gate can never drift apart.

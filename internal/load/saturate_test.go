@@ -64,10 +64,9 @@ func TestInprocQueueModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 hit, 1 join; misses count the 429 too (acquire tallies the miss
-	// before admission can refuse).
-	if c.CacheHits != 1 || c.CacheJoined != 1 || c.CacheMisses != 5 || c.Rejected != 1 {
-		t.Errorf("counters = %+v, want hits 1, joined 1, misses 5, rejected 1", c)
+	// 1 hit, 1 join, 1 refused; only admitted flights count as misses.
+	if c.CacheHits != 1 || c.CacheJoined != 1 || c.CacheMisses != 4 || c.Rejected != 1 {
+		t.Errorf("counters = %+v, want hits 1, joined 1, misses 4, rejected 1", c)
 	}
 }
 

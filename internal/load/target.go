@@ -47,15 +47,14 @@ type Target interface {
 	Counters() (Counters, error)
 }
 
-// HTTPTarget drives a live exaserve or mesh over HTTP: open-loop
+// HTTPTarget drives a live exaserve over HTTP: open-loop
 // wall-clock pacing, one goroutine per in-flight arrival, client-side
 // latency histograms, and /metrics scraping for the cache counters.
 type HTTPTarget struct {
 	// Client issues the requests (serveclient.New against one or more
 	// endpoints).
 	Client *serveclient.Client
-	// Base is the metrics endpoint's base URL (the first client endpoint
-	// works for meshes too: the coordinator merges replica registries).
+	// Base is the metrics endpoint's base URL.
 	Base string
 	// Speed compresses time: arrival offsets are divided by Speed, so 2
 	// replays a trace twice as fast (default 1).
@@ -119,8 +118,7 @@ func (t *HTTPTarget) RunSchedule(ctx context.Context, arrivals []Arrival) ([]Sam
 // answer before returning.
 func (t *HTTPTarget) Drain(context.Context) error { return nil }
 
-// Counters scrapes GET /metrics and sums the cache and rejection counters
-// across replica labels.
+// Counters scrapes GET /metrics for the cache and rejection counters.
 func (t *HTTPTarget) Counters() (Counters, error) {
 	hc := t.HTTP
 	if hc == nil {

@@ -324,7 +324,7 @@ func TestCancelQueuedOnRetiringShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit B: %v", err)
 	}
-	if got := srv.Queued(); got != 1 {
+	if got := srv.Health().Queued; got != 1 {
 		t.Fatalf("queued = %d, want 1", got)
 	}
 
@@ -338,7 +338,7 @@ func TestCancelQueuedOnRetiringShard(t *testing.T) {
 	if view.State != "canceled" {
 		t.Fatalf("canceled job state = %s, want canceled", view.State)
 	}
-	if got := srv.Queued(); got != 0 {
+	if got := srv.Health().Queued; got != 0 {
 		t.Fatalf("queued after cancel = %d, want 0 (slot freed immediately)", got)
 	}
 

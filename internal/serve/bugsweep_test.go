@@ -1,14 +1,12 @@
 package serve
 
-// The serving-layer bug sweep: regression tests for the seams the mesh
-// work flushed out — Retry-After cold start, the single-flight
-// join-after-abort race, cancel-vs-drain storms, replica Kill semantics,
-// and cross-server snapshot handoff.
+// The serving-layer bug sweep: regression tests for Retry-After cold
+// start, the single-flight join-after-abort race, and cancel-vs-drain
+// storms.
 
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,18 +71,6 @@ func TestDeadFlightReplacedOnAcquire(t *testing.T) {
 	if c.size() != 1 {
 		t.Fatalf("late forget removed the replacement: cache size %d, want 1", c.size())
 	}
-
-	// A killed *running* flight is not dead — its worker's ctx.Done path
-	// will settle it, so joining stays legal until then.
-	_, flRun, _, _ := c.acquire(Spec{Exhibit: "fig2"}, admitAll)
-	flRun.attach(&Job{state: StateQueued}, now)
-	flRun.begin(func(error) {}, now)
-	if !flRun.kill() {
-		t.Fatal("kill of a running flight reported unhandled")
-	}
-	if flRun.dead() {
-		t.Fatal("killed running flight reported dead before settling")
-	}
 }
 
 // TestSubmitSurvivesCancelRace: server-level version of the same race.
@@ -134,120 +120,6 @@ func TestSubmitSurvivesCancelRace(t *testing.T) {
 	}
 }
 
-// TestKillAbortsAllWork: Kill closes admission, fails queued flights
-// immediately, and cancels running ones through their execution context.
-func TestKillAbortsAllWork(t *testing.T) {
-	br := newBlockingRunner(true)
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: br.run})
-	defer br.unblock()
-
-	vRun, err := srv.Submit(Spec{Exhibit: "fig1", Trials: 1})
-	if err != nil {
-		t.Fatalf("submit running: %v", err)
-	}
-	br.waitStart(t)
-	vQ, err := srv.Submit(Spec{Exhibit: "fig1", Trials: 2})
-	if err != nil {
-		t.Fatalf("submit queued: %v", err)
-	}
-
-	srv.Kill()
-
-	// The queued flight settles synchronously inside Kill.
-	jv, ok := srv.Job(vQ.ID)
-	if !ok {
-		t.Fatalf("queued job %s missing after Kill", vQ.ID)
-	}
-	if jv.State != "failed" || !strings.Contains(jv.Error, "replica killed") {
-		t.Fatalf("queued job after Kill: state=%s error=%q, want failed/replica killed", jv.State, jv.Error)
-	}
-	// The running flight settles when its worker observes the canceled
-	// context.
-	if done := pollTerminal(t, ts, vRun.ID); done.State != "failed" {
-		t.Fatalf("running job after Kill ended %s: %s", done.State, done.Error)
-	}
-	if !srv.Draining() {
-		t.Fatal("killed server does not report draining")
-	}
-	if _, err := srv.Submit(Spec{Exhibit: "fig1", Trials: 3}); err == nil {
-		t.Fatal("submit to a killed server succeeded")
-	}
-}
-
-// TestSnapshotExportImportHandoff: a crashed server's checkpoint cells,
-// exported and imported into a second server, let the second server
-// resume the spec and produce the same bytes a direct run yields — the
-// mesh failover invariant at the serve layer.
-func TestSnapshotExportImportHandoff(t *testing.T) {
-	spec := Spec{Exhibit: "fig4", Patterns: 2, Arrivals: 8}
-	crashed := false
-	srv1, ts1 := newTestServer(t, Config{
-		Workers: 1,
-		CrashHook: func() (int, bool) {
-			if crashed {
-				return 0, false
-			}
-			crashed = true
-			return 1, true // crash the first execution after one cell
-		},
-	})
-	v1, err := srv1.Submit(spec)
-	if err != nil {
-		t.Fatalf("submit on srv1: %v", err)
-	}
-	if done := pollTerminal(t, ts1, v1.ID); done.State != "failed" {
-		t.Fatalf("crashed job ended %s, want failed", done.State)
-	}
-
-	handoff := srv1.ExportSnapshots()[spec.Key()]
-	if len(handoff) == 0 {
-		t.Fatalf("export after crash carried no cells for %s", spec.Key())
-	}
-	// The export is a deep copy: mutating it must not corrupt srv1's
-	// snapshot.
-	var cellIdx int
-	for i := range handoff {
-		cellIdx = i
-		break
-	}
-	orig := handoff[cellIdx][0]
-	handoff[cellIdx][0] = -12345
-	if srv1.ExportSnapshots()[spec.Key()][cellIdx][0] == -12345 {
-		t.Fatal("export shares cell slices with the live snapshot")
-	}
-	handoff[cellIdx][0] = orig
-
-	srv2, ts2 := newTestServer(t, Config{Workers: 1})
-	if n := srv2.ImportSnapshot(spec.Key(), handoff); n != len(handoff) {
-		t.Fatalf("import recorded %d cells, want %d", n, len(handoff))
-	}
-	v2, err := srv2.Submit(spec)
-	if err != nil {
-		t.Fatalf("submit on srv2: %v", err)
-	}
-	if done := pollTerminal(t, ts2, v2.ID); done.State != "done" {
-		t.Fatalf("resumed job ended %s: %s", done.State, done.Error)
-	}
-	if got := srv2.m.SnapshotResumes.Value(); got != 1 {
-		t.Fatalf("srv2 snapshot resumes = %d, want 1 (handoff not picked up)", got)
-	}
-	if restored := srv2.m.SnapshotCellsRestored.Value(); restored != uint64(len(handoff)) {
-		t.Fatalf("srv2 restored %d cells, want %d", restored, len(handoff))
-	}
-
-	direct, err := runSpec(srv2.cfg.Experiments, spec)
-	if err != nil {
-		t.Fatalf("direct run: %v", err)
-	}
-	res, _, err := srv2.JobResult(v2.ID)
-	if err != nil {
-		t.Fatalf("result on srv2: %v", err)
-	}
-	if res.Digest != direct.Digest {
-		t.Fatalf("resumed digest %s != direct digest %s", res.Digest, direct.Digest)
-	}
-}
-
 // TestPoolCancelDrainStress: submit/cancel storms racing Drain must
 // leave no queued flights, no non-terminal jobs, and no wedged workers.
 // Run under -race this doubles as the pool's concurrency audit.
@@ -290,7 +162,7 @@ func TestPoolCancelDrainStress(t *testing.T) {
 	wg.Wait()
 	close(ids)
 
-	if q := srv.Queued(); q != 0 {
+	if q := srv.Health().Queued; q != 0 {
 		t.Fatalf("%d flights still queued after drain", q)
 	}
 	if n := srv.Inflight(); n != 0 {

@@ -127,33 +127,10 @@ func (f *flight) begin(stop context.CancelCauseFunc, now time.Time) bool {
 	return true
 }
 
-// kill aborts the flight in place — the replica hosting it is being torn
-// down. A running flight has its execution context canceled and settles
-// through the worker's ctx.Done path; for those, kill reports handled.
-// A queued flight is marked aborted (a worker that still pops it skips
-// it) and reports unhandled: the caller must settle its jobs and free
-// its queue slot itself, because no worker ever will.
-func (f *flight) kill() (handled bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.finished {
-		return true
-	}
-	f.aborted = true
-	if f.running {
-		if f.stop != nil {
-			f.stop(errKilled)
-		}
-		return true
-	}
-	return false
-}
-
 // settle records the flight's outcome and finalizes every attached job.
 // It returns the jobs that actually transitioned (already-canceled jobs
-// keep their state). The first settle wins: a later one — a killed
-// flight racing its own worker's ctx.Done settle — must not overwrite
-// the recorded outcome that attach-settled submitters read.
+// keep their state). The first settle wins: a later one must not
+// overwrite the recorded outcome that attach-settled submitters read.
 func (f *flight) settle(state State, res *Result, err error, errMsg string, now time.Time) int {
 	f.mu.Lock()
 	if f.finished {
@@ -236,11 +213,11 @@ func (c *Cache) acquire(spec Spec, admit func(*flight) error) (res *Result, fl *
 			return nil, e.fl, false, nil
 		}
 	}
-	c.m.CacheMisses.Inc()
 	fl = &flight{key: key, spec: spec, created: time.Now()}
 	if err := admit(fl); err != nil {
 		return nil, nil, false, err
 	}
+	c.m.CacheMisses.Inc()
 	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, fl: fl})
 	c.evictLocked()
 	c.m.CacheSize.Set(int64(c.ll.Len()))
@@ -292,20 +269,6 @@ func (c *Cache) evictLocked() {
 		}
 		elem = prev
 	}
-}
-
-// liveFlights snapshots every in-flight entry. Server.Kill walks the
-// result to abort the whole replica's work at once.
-func (c *Cache) liveFlights() []*flight {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []*flight
-	for elem := c.ll.Front(); elem != nil; elem = elem.Next() {
-		if e := elem.Value.(*cacheEntry); e.fl != nil {
-			out = append(out, e.fl)
-		}
-	}
-	return out
 }
 
 // size reports the number of cached entries (finished and in-flight).

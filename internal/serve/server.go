@@ -44,11 +44,6 @@ type Config struct {
 	// SnapshotSize bounds the checkpoint store (default 64 partial-result
 	// snapshots of interrupted executions; see snapshot.go).
 	SnapshotSize int
-	// JobIDPrefix is prepended to every job id this server mints. The
-	// mesh coordinator gives each replica a distinct prefix (e.g.
-	// "r1.0-") so a job id names the replica — and the generation — that
-	// owns it, and ids never collide across replicas or revivals.
-	JobIDPrefix string
 	// Obs receives the service metric families; GET /metrics exposes the
 	// whole registry. Nil disables both.
 	Obs *obs.Registry
@@ -70,7 +65,7 @@ type Config struct {
 // pool + checkpoint store, with an HTTP codec on top. Create with New,
 // mount Handler, stop with Drain. The exported core API (Submit, Job,
 // CancelJob, JobResult, Health, …) is the same machinery without the
-// HTTP framing; the mesh coordinator embeds replicas through it.
+// HTTP framing.
 type Server struct {
 	cfg      Config
 	m        *Metrics
@@ -123,7 +118,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{cfg: cfg, m: NewMetrics(cfg.Obs)}
-	s.store = newStore(cfg.StoreSize, cfg.JobIDPrefix, s.m)
+	s.store = newStore(cfg.StoreSize, s.m)
 	s.cache = newCache(cfg.CacheSize, s.m)
 	s.snaps = newSnapStore(cfg.SnapshotSize, s.m)
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.execFlight, s.m)
@@ -158,8 +153,6 @@ func (s *Server) Drain(ctx context.Context) error {
 var (
 	// ErrNoSuchJob: the job id is unknown (never existed, or evicted).
 	ErrNoSuchJob = errors.New("serve: no such job")
-	// errKilled is the terminal error stamped on jobs stranded by Kill.
-	errKilled = errors.New("serve: replica killed")
 )
 
 // StateConflictError reports an operation that is invalid in the job's
@@ -284,65 +277,8 @@ func (s *Server) JobResult(id string) (*Result, JobView, error) {
 	return res, j.View(), nil
 }
 
-// Queued reports the flights waiting in shard queues.
-func (s *Server) Queued() int { return s.pool.queued() }
-
-// Inflight reports the flights currently executing on workers. Queued +
-// Inflight is the load signal the mesh's least-loaded and two-choice
-// routers compare.
+// Inflight reports the flights currently executing on workers.
 func (s *Server) Inflight() int { return int(s.inflight.Load()) }
-
-// Draining reports whether admission is closed (Drain or Kill).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// ExportSnapshots deep-copies every checkpoint snapshot with recorded
-// cells, keyed by spec cache key. The mesh coordinator calls it on a
-// dead replica to hand interrupted progress to a survivor.
-func (s *Server) ExportSnapshots() map[string]map[int][]float64 {
-	return s.snaps.export()
-}
-
-// ImportSnapshot merges handed-off cells into this server's checkpoint
-// store, so the next flight for the spec resumes past them. It reports
-// how many cells were new here.
-func (s *Server) ImportSnapshot(key string, cells map[int][]float64) int {
-	n := s.snaps.merge(key, cells)
-	if n > 0 {
-		s.m.SnapshotCellsRecorded.Add(uint64(n))
-	}
-	return n
-}
-
-// Kill simulates abrupt replica death for the mesh: admission closes,
-// every live flight is aborted — running ones through their execution
-// context, queued ones settled directly (no worker will ever reach an
-// aborted flight's settle path) — and the workers are reaped in the
-// background. Checkpoint snapshots survive so the coordinator can export
-// them; the Server itself stays readable (the mesh decides what "dead"
-// hides).
-func (s *Server) Kill() {
-	s.draining.Store(true)
-	if s.scaler != nil {
-		s.scaler.halt()
-	}
-	now := time.Now()
-	for _, fl := range s.cache.liveFlights() {
-		if fl.kill() {
-			continue // running (settles via ctx.Done) or already finished
-		}
-		// Queued corpse: free its slot and fail its jobs ourselves.
-		s.cache.forget(fl)
-		s.pool.discard(fl)
-		s.snaps.settle(fl.key)
-		n := fl.settle(StateFailed, nil, errKilled, "replica killed", now)
-		s.m.JobsFailed.Add(uint64(n))
-	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.pool.drain(ctx)
-	}()
-}
 
 // routes mounts the API.
 func (s *Server) routes() {
@@ -513,8 +449,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.cfg.Obs.WriteProm(w)
 }
 
-// HealthView is the GET /healthz body and the per-replica health report
-// the mesh coordinator aggregates.
+// HealthView is the GET /healthz body.
 type HealthView struct {
 	Status        string `json:"status"`
 	Workers       int    `json:"workers"`
@@ -664,9 +599,6 @@ func (s *Server) execFlight(fl *flight) {
 		case errors.Is(cause, context.DeadlineExceeded):
 			n := fl.settle(StateFailed, nil, cause,
 				fmt.Sprintf("job timeout after %s", s.cfg.JobTimeout), time.Now())
-			s.m.JobsFailed.Add(uint64(n))
-		case errors.Is(cause, errKilled):
-			n := fl.settle(StateFailed, nil, cause, "replica killed", time.Now())
 			s.m.JobsFailed.Add(uint64(n))
 		default:
 			// Last subscriber canceled mid-run; its job is already

@@ -274,6 +274,24 @@ func TestSaturationReturns429(t *testing.T) {
 	defer r.unblock()
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Runner: r.run})
 
+	// Health reports the bound the pool enforces, not the configured one:
+	// at least one slot per shard, and under autoscaling a width clamped
+	// into [Min, Max] with a default queue sized for the widest pool.
+	for _, c := range []struct {
+		name          string
+		cfg           Config
+		workers, slot int
+	}{
+		{"one slot per shard", Config{Workers: 6, QueueDepth: 4}, 6, 6},
+		{"autoscale defaults", Config{Workers: 6, Autoscale: &AutoscaleConfig{}}, 4, 8},
+	} {
+		other, _ := newTestServer(t, c.cfg)
+		if h := other.Health(); h.Workers != c.workers || h.QueueCapacity != c.slot {
+			t.Errorf("%s: health reports %d workers, %d queue slots; want %d, %d",
+				c.name, h.Workers, h.QueueCapacity, c.workers, c.slot)
+		}
+	}
+
 	codeA, a, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
 	if codeA != http.StatusAccepted {
 		t.Fatalf("submit A: HTTP %d", codeA)
@@ -500,6 +518,87 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestMetricsReconcile: after a burst that saturates a one-worker server
+// (no cancellations), the /metrics counters account for every submission
+// exactly once — hit + joined + miss + 429 = submissions — and every miss,
+// and only a miss, starts an execution.
+func TestMetricsReconcile(t *testing.T) {
+	r := newBlockingRunner(false)
+	defer r.unblock()
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, Runner: r.run})
+
+	const specs, posts = 6, 32
+	body := func(i int) string { return fmt.Sprintf(`{"exhibit":"fig1","trials":%d}`, i%specs+1) }
+	var ids []string
+	rejected := 0
+	for i := 0; i < posts; i++ {
+		switch code, v, _ := postSpec(t, ts, body(i)); code {
+		case http.StatusTooManyRequests:
+			rejected++
+		case http.StatusOK, http.StatusAccepted:
+			ids = append(ids, v.ID)
+		default:
+			t.Fatalf("burst submit: HTTP %d", code)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("burst never saturated the queue")
+	}
+	r.unblock()
+	settle := func() {
+		for _, id := range ids {
+			if v := pollTerminal(t, ts, id); v.State != "done" {
+				t.Fatalf("job %s ended %s", id, v.State)
+			}
+		}
+	}
+	settle()
+	// Resubmit every spec once the burst has settled: finished specs hit,
+	// rejected ones run now.
+	for i := 0; i < specs; i++ {
+		code, v, _ := postSpec(t, ts, body(i))
+		if code != http.StatusOK && code != http.StatusAccepted {
+			t.Fatalf("resubmit: HTTP %d", code)
+		}
+		ids = append(ids, v.ID)
+	}
+	settle()
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	got := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			got[f[0]] = v
+		}
+	}
+	hit := got[`exaresil_serve_cache_requests_total{outcome="hit"}`]
+	joined := got[`exaresil_serve_cache_requests_total{outcome="joined"}`]
+	miss := got[`exaresil_serve_cache_requests_total{outcome="miss"}`]
+	rej := got["exaresil_serve_queue_rejections_total"]
+	submitted := float64(posts + specs)
+	if hit == 0 || joined == 0 || rej != float64(rejected) {
+		t.Errorf("burst missed a path: hit %v joined %v rejections %v (client saw %d 429s)", hit, joined, rej, rejected)
+	}
+	if sum := hit + joined + miss + rej; sum != submitted {
+		t.Errorf("hit %v + joined %v + miss %v + rejected %v = %v, want %v submissions", hit, joined, miss, rej, sum, submitted)
+	}
+	if n := got["exaresil_serve_jobs_submitted_total"]; n+rej != submitted {
+		t.Errorf("jobs submitted %v + rejected %v != %v submissions", n, rej, submitted)
+	}
+	if exec := got["exaresil_serve_executions_total"]; exec != miss {
+		t.Errorf("executions %v != misses %v", exec, miss)
 	}
 }
 

@@ -110,48 +110,6 @@ func (ss *snapStore) settle(key string) {
 	}
 }
 
-// export deep-copies every retained snapshot with at least one recorded
-// cell, keyed by spec cache key. The mesh coordinator uses it to lift an
-// interrupted execution's progress off a dead replica (and to prewarm a
-// revived one), mirroring ReStore's in-memory checkpoint scatter.
-func (ss *snapStore) export() map[string]map[int][]float64 {
-	ss.mu.Lock()
-	sns := make(map[string]*snapshot, len(ss.byKey))
-	for k, sn := range ss.byKey {
-		sns[k] = sn
-	}
-	ss.mu.Unlock()
-	out := make(map[string]map[int][]float64, len(sns))
-	for k, sn := range sns {
-		cells := sn.completed()
-		if len(cells) == 0 {
-			continue
-		}
-		cp := make(map[int][]float64, len(cells))
-		for cell, values := range cells {
-			cp[cell] = append([]float64(nil), values...)
-		}
-		out[k] = cp
-	}
-	return out
-}
-
-// merge folds handed-off cells into key's snapshot (creating it when
-// absent) and reports how many cells were new here. First-write-wins per
-// cell, exactly like a local recording: cells are deterministic functions
-// of the spec, so colliding writes carry identical values.
-func (ss *snapStore) merge(key string, cells map[int][]float64) int {
-	if len(cells) == 0 {
-		return 0
-	}
-	sn, _ := ss.open(key)
-	before := sn.size()
-	for cell, values := range cells {
-		sn.note(cell, values)
-	}
-	return sn.size() - before
-}
-
 // size reports the number of retained snapshots.
 func (ss *snapStore) size() int {
 	ss.mu.Lock()

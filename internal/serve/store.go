@@ -175,21 +175,20 @@ func (j *Job) View() JobView {
 // client can always reach every live job, but ancient finished jobs age
 // out instead of growing the heap forever).
 type Store struct {
-	mu     sync.Mutex
-	cap    int
-	prefix string // job-id prefix, distinguishing mesh replicas
-	seq    uint64
-	jobs   map[string]*Job
-	order  []string // insertion order, for eviction scans
-	m      *Metrics
+	mu    sync.Mutex
+	cap   int
+	seq   uint64
+	jobs  map[string]*Job
+	order []string // insertion order, for eviction scans
+	m     *Metrics
 }
 
-// newStore builds a store retaining about cap jobs whose ids carry prefix.
-func newStore(cap int, prefix string, m *Metrics) *Store {
+// newStore builds a store retaining about cap jobs.
+func newStore(cap int, m *Metrics) *Store {
 	if cap <= 0 {
 		cap = 1024
 	}
-	return &Store{cap: cap, prefix: prefix, jobs: make(map[string]*Job), m: m}
+	return &Store{cap: cap, jobs: make(map[string]*Job), m: m}
 }
 
 // newJob mints, registers, and returns a job in the given initial state.
@@ -198,7 +197,7 @@ func (st *Store) newJob(spec Spec, cache string, fl *flight, now time.Time) *Job
 	defer st.mu.Unlock()
 	st.seq++
 	j := &Job{
-		id:        fmt.Sprintf("%sj%08d", st.prefix, st.seq),
+		id:        fmt.Sprintf("j%08d", st.seq),
 		spec:      spec,
 		cache:     cache,
 		flight:    fl,

@@ -40,8 +40,8 @@ type Options struct {
 // Client talks to one or more exaserve endpoints with retries, backoff,
 // and result verification. Safe for concurrent use. With several
 // endpoints (comma-separated base), a transport error or 503 rotates to
-// the next endpoint before the retry — client-side failover for meshes
-// fronted by independent listeners.
+// the next endpoint before the retry — client-side failover across
+// independent exaserve processes.
 type Client struct {
 	bases       []string
 	hc          *http.Client

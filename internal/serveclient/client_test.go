@@ -398,7 +398,7 @@ func TestRunFailsOverToSecondEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunRotatesAwayFromDrainingEndpoint: a 503 (draining mesh listener)
+// TestRunRotatesAwayFromDrainingEndpoint: a 503 (draining endpoint)
 // moves the cursor so the retry lands on the healthy endpoint.
 func TestRunRotatesAwayFromDrainingEndpoint(t *testing.T) {
 	const csv = "a,b\n1,2\n"

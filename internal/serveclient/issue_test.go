@@ -226,8 +226,8 @@ func TestIssueRotatesOnTransportError(t *testing.T) {
 }
 
 // TestIssueNoRotationOn429: saturation is the shard's verdict, not the
-// endpoint's — a 429 must NOT move the cursor, or a loaded mesh would
-// thrash its cache affinity.
+// endpoint's — a 429 must NOT move the cursor, or a loaded fleet would
+// thrash its per-process caches.
 func TestIssueNoRotationOn429(t *testing.T) {
 	h := newRotationHarness(t, http.StatusTooManyRequests)
 	defer h.close()

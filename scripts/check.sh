@@ -22,16 +22,17 @@
 #      plain Monte-Carlo and variance-reduced (-vr, antithetic paired) —
 #      exits non-zero on any violation
 #   5. the golden-exhibit digest comparison against results/golden/
-#   6. three live end-to-end passes (set SOAK_REQUESTS=0 to skip all):
+#   6. go vet and the tests of the perfbench module, which root ./...
+#      does not see: a serve/load API change that breaks the benchmark's
+#      build fails here
+#   7. three live end-to-end passes (set SOAK_REQUESTS=0 to skip all):
 #      exaserve -chaos vs the retrying exasoak client
-#      (scripts/chaos_soak.sh), a 3-replica mesh with kill/revive chaos,
-#      asserting at least one real failover happened
-#      (scripts/mesh_soak.sh), and the exaload workload smoke — trace
+#      (scripts/chaos_soak.sh), the exaload workload smoke — trace
 #      gen/replay, open-loop run, and a small live saturation sweep
 #      (scripts/load_smoke.sh), and the autoscaler elasticity soak — a
 #      diurnal exaload day against an elastic pool that must grow, shrink
 #      back, and lose no jobs (scripts/autoscale_soak.sh)
-#   7. opt-in: with BENCH_BASELINE=path/to/BENCH_results.json set, rerun
+#   8. opt-in: with BENCH_BASELINE=path/to/BENCH_results.json set, rerun
 #      the exhibit benchmarks and fail on any >10% time or allocation
 #      regression against that report (cmd/exabench -baseline)
 #
@@ -65,7 +66,7 @@ done
 
 echo "== race detector on the audit harness, executors, cluster layer, machine model, metrics, registry, and service stack"
 go test -race -count=1 ./internal/check/ ./internal/resilience/ ./internal/cluster/... \
-	./internal/machine/ ./internal/obs/... ./internal/experiments/ ./internal/serve/... ./internal/mesh/ ./internal/chaos/ \
+	./internal/machine/ ./internal/obs/... ./internal/experiments/ ./internal/serve/... ./internal/chaos/ \
 	./internal/serveclient/ ./internal/load/ ./internal/selection/ ./internal/analytic/ ./internal/rng/
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
@@ -83,11 +84,12 @@ go run ./cmd/exacheck "$@" -vr sweep
 echo "== golden exhibits"
 go run ./cmd/exacheck golden
 
+echo "== perfbench module: vet and tests"
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+
 if [ "${SOAK_REQUESTS:-8}" != "0" ]; then
   echo "== chaos soak"
   SOAK_CLIENTS="${SOAK_CLIENTS:-3}" SOAK_REQUESTS="${SOAK_REQUESTS:-8}" scripts/chaos_soak.sh
-  echo "== mesh soak"
-  SOAK_CLIENTS="${SOAK_CLIENTS:-3}" SOAK_REQUESTS="${SOAK_REQUESTS:-8}" scripts/mesh_soak.sh
   echo "== load smoke"
   scripts/load_smoke.sh
   echo "== autoscale soak"
