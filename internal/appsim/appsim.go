@@ -126,8 +126,8 @@ func Run(spec TrialSpec) TrialStats {
 	results := make([]trialResult, spec.Trials)
 
 	// Each worker needs its own executor: strategies carry per-run state,
-	// and each executor owns a discrete-event simulator whose event pool
-	// stays warm across that worker's trials. Worker 0 reuses the caller's
+	// and each executor owns an engine whose failure-process storage stays
+	// warm across that worker's trials. Worker 0 reuses the caller's
 	// executor; the rest get clones.
 	execs := make([]resilience.Executor, workers)
 	execs[0] = x

@@ -62,9 +62,9 @@ type Spec struct {
 	// Obs, when non-nil, receives the run's metrics: cluster series
 	// (queue depth, utilization, per-outcome counts, mapper invocations),
 	// the resilience time split of every executor the run builds, and the
-	// event counters of every simulator involved. Attaching a registry
-	// never changes simulation behavior — the series only count — so runs
-	// with and without Obs are bit-identical.
+	// des event counters of the cluster heap and every executor run.
+	// Attaching a registry never changes simulation behavior — the series
+	// only count — so runs with and without Obs are bit-identical.
 	Obs *obs.Registry
 	// Mirror antithetically reflects every continuous random draw of the
 	// run (failure inter-arrival times; see rng.SetMirror). A mirrored run
@@ -240,7 +240,7 @@ func Run(spec Spec) (Metrics, error) {
 		byID:    byID,
 		classes: classes,
 		free:    spec.Machine.Nodes,
-		sim:     des.NewPooled(),
+		sim:     des.New(),
 		m:       newClusterMetrics(spec.Obs),
 		rm:      resilience.NewMetrics(spec.Obs),
 	}
@@ -272,7 +272,7 @@ type run struct {
 	err     error
 	m       *clusterMetrics
 	rm      *resilience.Metrics
-	runtime *resilience.Runtime // engine+simulator shared by all executors
+	runtime *resilience.Runtime // engine shared by all executors
 
 	// mappingCb is the shared mapping-event callback, bound once.
 	mappingCb des.Callback
@@ -520,7 +520,7 @@ func (c *run) prepare(j *job) error {
 	j.phys = exec.PhysicalNodes()
 	resilience.Instrument(exec, c.rm)
 	// All of a run's executors fire strictly sequentially inside the
-	// cluster's event loop, so they share one engine and simulator.
+	// cluster's event loop, so they share one engine.
 	if c.runtime == nil {
 		c.runtime = resilience.NewRuntime(c.rm)
 	}

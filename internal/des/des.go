@@ -3,16 +3,17 @@
 //
 // The engine is intentionally minimal: a simulation owns a clock and a
 // priority queue of scheduled events; each event carries a callback that
-// may schedule or cancel further events. Determinism is guaranteed by
-// breaking time ties with a monotonically increasing sequence number, so a
-// simulation driven by deterministic callbacks and a seeded rng.Source
-// always replays identically.
+// may schedule further events. Determinism is guaranteed by breaking time
+// ties with a monotonically increasing sequence number, so a simulation
+// driven by deterministic callbacks and a seeded rng.Source always replays
+// identically.
 //
-// Cancellation is a first-class operation because resilience executors
-// frequently invalidate pending work: a node failure cancels the
-// application's scheduled checkpoint-completion and completion events. The
-// event queue is an indexed binary heap, making cancellation O(log n)
-// rather than the O(n) of lazy deletion schemes.
+// Events cannot be canceled: every scheduled event fires unless the run is
+// stopped first. The cluster simulation, the package's user, only ever
+// adds arrivals, mapping passes and departures, each of which must happen.
+// (The per-application technique engine, whose failures do invalidate
+// pending work, holds at most two deadlines and keeps them itself; see
+// internal/resilience.)
 package des
 
 import (
@@ -26,12 +27,10 @@ import (
 type Callback func(sim *Simulator)
 
 // Event is a scheduled occurrence. The zero value is meaningless; events
-// are created by Simulator.Schedule and friends. An Event value can be used
-// to cancel the occurrence before it fires.
+// are created by Simulator.Schedule and friends.
 type Event struct {
 	at    units.Duration
 	seq   uint64
-	index int // position in the heap, -1 once fired or canceled
 	fn    Callback
 	label string
 }
@@ -42,14 +41,11 @@ func (e *Event) Time() units.Duration { return e.at }
 // Label reports the diagnostic label given at scheduling time.
 func (e *Event) Label() string { return e.label }
 
-// Pending reports whether the event is still in the queue.
-func (e *Event) Pending() bool { return e.index >= 0 }
-
-// eventHeap is an indexed min-heap ordered by (time, seq). The heap
-// operations are hand-inlined rather than delegated to container/heap:
-// every Schedule/Step pays them, and the interface dispatch plus
-// swap-based sifting of the generic package showed up as a double-digit
-// share of whole-study CPU profiles. The hole-style sift below moves the
+// eventHeap is a min-heap ordered by (time, seq). The heap operations are
+// hand-inlined rather than delegated to container/heap: every Schedule/Step
+// pays them, and the interface dispatch plus swap-based sifting of the
+// generic package showed up as a double-digit share of whole-study CPU
+// profiles. The hole-style sift below moves the
 // displaced event once instead of swapping it down level by level, halving
 // the pointer stores (and thus GC write barriers) per operation. Because
 // (time, seq) is a total order, pop order — and hence simulation behavior —
@@ -66,12 +62,11 @@ func eventLess(a, b *Event) bool {
 
 // push appends e and restores the heap property.
 func (h *eventHeap) push(e *Event) {
-	e.index = len(*h)
 	*h = append(*h, e)
-	h.siftUp(e.index)
+	h.siftUp(len(*h) - 1)
 }
 
-// pop removes and returns the minimum event (index left at -1).
+// pop removes and returns the minimum event.
 func (h *eventHeap) pop() *Event {
 	old := *h
 	e := old[0]
@@ -81,30 +76,9 @@ func (h *eventHeap) pop() *Event {
 	*h = old[:n]
 	if n > 0 {
 		old[0] = last
-		last.index = 0
 		h.siftDown(0)
 	}
-	e.index = -1
 	return e
-}
-
-// remove deletes the event at index i (its index left at -1).
-func (h *eventHeap) remove(i int) {
-	old := *h
-	e := old[i]
-	n := len(old) - 1
-	last := old[n]
-	old[n] = nil
-	*h = old[:n]
-	if i < n {
-		old[i] = last
-		last.index = i
-		h.siftDown(i)
-		if last.index == i {
-			h.siftUp(i)
-		}
-	}
-	e.index = -1
 }
 
 // siftUp moves h[i] toward the root until its parent is no larger,
@@ -118,11 +92,9 @@ func (h eventHeap) siftUp(i int) {
 			break
 		}
 		h[i] = p
-		p.index = i
 		i = parent
 	}
 	h[i] = e
-	e.index = i
 }
 
 // siftDown moves h[i] toward the leaves until both children are no
@@ -143,11 +115,9 @@ func (h eventHeap) siftDown(i int) {
 			break
 		}
 		h[i] = c
-		c.index = i
 		i = child
 	}
 	h[i] = e
-	e.index = i
 }
 
 // Tracer receives a notification immediately before each event fires.
@@ -162,30 +132,24 @@ type Simulator struct {
 	now     units.Duration
 	queue   eventHeap
 	seq     uint64
-	fired   uint64
 	stopped bool
-
-	// recycle enables the event free list (see NewPooled).
-	recycle  bool
-	pool     []*Event
-	recycled uint64
 
 	// m is the observability bundle (see SetMetrics). The zero value is
 	// disabled: each hook is a nil-receiver no-op.
 	m Metrics
 
 	// tally batches the per-event observations locally while a bundle is
-	// attached; FlushMetrics (called automatically at Run/RunUntil/Reset
-	// boundaries) merges it into the shared atomic series. Batching turns
-	// three atomic operations per Schedule into plain integer adds on
-	// simulator-owned state — the single-goroutine contract makes the
-	// local counters safe, and boundary flushing keeps totals exact.
+	// attached; FlushMetrics (called automatically when Run returns)
+	// merges it into the shared atomic series. Batching turns three atomic
+	// operations per Schedule into plain integer adds on simulator-owned
+	// state — the single-goroutine contract makes the local counters safe,
+	// and boundary flushing keeps totals exact.
 	tally struct {
-		enabled                                   bool
-		scheduled, dispatched, canceled, recycled uint64
-		depthPeak                                 int64
-		depthSum                                  float64
-		depthBuckets                              []uint64
+		enabled               bool
+		scheduled, dispatched uint64
+		depthPeak             int64
+		depthSum              float64
+		depthBuckets          []uint64
 	}
 
 	// Trace, when non-nil, observes every fired event.
@@ -195,69 +159,13 @@ type Simulator struct {
 // New returns an empty simulation with the clock at zero.
 func New() *Simulator { return &Simulator{} }
 
-// NewPooled returns a simulation that recycles Event allocations through a
-// per-Simulator free list: an event's storage returns to the pool the
-// moment it fires or is canceled, and the next Schedule reuses it. At a
-// steady queue depth this reduces event allocation to O(depth) for the
-// whole run instead of O(events fired) — the resilience executors fire
-// millions of events per study at a queue depth of two or three.
-//
-// Pooling tightens the handle contract: an *Event returned by Schedule is
-// dead once it fires or is canceled, and must not be passed to Cancel
-// afterwards (its storage may already describe a different, live event).
-// New()'s laxer "cancel anything, any time" contract is unchanged. The
-// free list is per-Simulator, so the single-goroutine contract already in
-// force makes pooling safe without locks.
-func NewPooled() *Simulator { return &Simulator{recycle: true} }
-
-// Reset returns the simulator to its initial state — clock at zero, queue
-// empty, counters cleared — while keeping the event free list warm, so a
-// worker can reuse one Simulator (and its event storage) across many
-// trials instead of reallocating engine state every trial. The Trace hook
-// is preserved.
-func (s *Simulator) Reset() {
-	s.FlushMetrics()
-	for _, e := range s.queue {
-		s.release(e)
-	}
-	clear(s.queue)
-	s.queue = s.queue[:0]
-	s.now = 0
-	s.seq = 0
-	s.fired = 0
-	s.stopped = false
-}
-
-// release marks an event dead and, in pooled mode, returns its storage to
-// the free list. Non-pooled events keep their label and time so fired
-// handles stay inspectable (the pre-pooling contract).
-func (s *Simulator) release(e *Event) {
-	e.index = -1
-	if s.recycle {
-		e.fn = nil
-		e.label = ""
-		s.pool = append(s.pool, e)
-	}
-}
-
-// Recycled reports how many Schedule calls were satisfied from the free
-// list (always zero for non-pooled simulators). It exists for
-// observability: benchmarks assert the pool is actually working.
-func (s *Simulator) Recycled() uint64 { return s.recycled }
-
 // Now reports the current simulation time.
 func (s *Simulator) Now() units.Duration { return s.now }
 
-// Fired reports how many events have executed so far.
-func (s *Simulator) Fired() uint64 { return s.fired }
-
-// Pending reports how many events remain scheduled.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
-// Schedule arranges for fn to run at absolute time at, returning the event
-// for possible cancellation. Scheduling in the past (before Now) panics:
-// it always indicates a logic error in an executor, and letting time run
-// backwards would corrupt every statistic downstream.
+// Schedule arranges for fn to run at absolute time at, returning the
+// event. Scheduling in the past (before Now) panics: it always indicates a
+// logic error in the caller, and letting time run backwards would corrupt
+// every statistic downstream.
 func (s *Simulator) Schedule(at units.Duration, label string, fn Callback) *Event {
 	if at < s.now {
 		panic(fmt.Sprintf("des: schedule %q at %v before now %v", label, at, s.now))
@@ -265,17 +173,7 @@ func (s *Simulator) Schedule(at units.Duration, label string, fn Callback) *Even
 	if fn == nil {
 		panic("des: schedule with nil callback")
 	}
-	var e *Event
-	if n := len(s.pool); n > 0 {
-		e = s.pool[n-1]
-		s.pool[n-1] = nil
-		s.pool = s.pool[:n-1]
-		s.recycled++
-		s.tally.recycled++
-		*e = Event{at: at, seq: s.seq, fn: fn, label: label}
-	} else {
-		e = &Event{at: at, seq: s.seq, fn: fn, label: label}
-	}
+	e := &Event{at: at, seq: s.seq, fn: fn, label: label}
 	s.seq++
 	s.queue.push(e)
 	if s.tally.enabled {
@@ -301,20 +199,8 @@ func (s *Simulator) After(d units.Duration, label string, fn Callback) *Event {
 	return s.Schedule(s.now+d, label, fn)
 }
 
-// Cancel removes a pending event from the queue. Canceling an event that
-// has already fired or been canceled is a harmless no-op, which lets
-// executors unconditionally cancel whatever handles they hold.
-func (s *Simulator) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
-		return
-	}
-	s.queue.remove(e.index)
-	s.release(e)
-	s.tally.canceled++
-}
-
-// Stop makes the current Run/RunUntil call return after the in-flight
-// callback completes. Pending events remain queued.
+// Stop makes the current Run call return after the in-flight callback
+// completes. Pending events remain queued.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Step fires the earliest pending event, advancing the clock to its time.
@@ -328,17 +214,11 @@ func (s *Simulator) Step() bool {
 		panic("des: event queue time went backwards")
 	}
 	s.now = e.at
-	s.fired++
 	s.tally.dispatched++
 	if s.Trace != nil {
 		s.Trace(e.at, e.label)
 	}
-	fn := e.fn
-	// Recycle before running the callback so a Schedule inside it can
-	// reuse the storage immediately; fn was saved above, and the event is
-	// already off the heap.
-	s.release(e)
-	fn(s)
+	e.fn(s)
 	return true
 }
 
@@ -350,27 +230,11 @@ func (s *Simulator) Run() {
 	s.FlushMetrics()
 }
 
-// RunUntil fires events with time <= horizon, then advances the clock to
-// exactly horizon. Events scheduled beyond the horizon stay queued.
-func (s *Simulator) RunUntil(horizon units.Duration) {
-	if horizon < s.now {
-		panic(fmt.Sprintf("des: RunUntil(%v) before now %v", horizon, s.now))
-	}
-	s.stopped = false
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= horizon {
-		s.Step()
-	}
-	if !s.stopped {
-		s.now = horizon
-	}
-	s.FlushMetrics()
-}
-
 // FlushMetrics merges the locally batched event tallies into the attached
-// bundle's shared atomic series. Run, RunUntil, Reset, and SetMetrics flush
-// automatically; only callers driving Step directly and reading the shared
-// series mid-simulation need to call it themselves. A no-op when no bundle
-// is attached.
+// bundle's shared atomic series. Run and SetMetrics flush automatically;
+// only callers driving Step directly and reading the shared series
+// mid-simulation need to call it themselves. A no-op when no bundle is
+// attached.
 func (s *Simulator) FlushMetrics() {
 	t := &s.tally
 	if !t.enabled {
@@ -383,14 +247,6 @@ func (s *Simulator) FlushMetrics() {
 	if t.dispatched != 0 {
 		s.m.Dispatched.Add(t.dispatched)
 		t.dispatched = 0
-	}
-	if t.canceled != 0 {
-		s.m.Canceled.Add(t.canceled)
-		t.canceled = 0
-	}
-	if t.recycled != 0 {
-		s.m.Recycled.Add(t.recycled)
-		t.recycled = 0
 	}
 	if t.depthPeak != 0 {
 		s.m.HeapDepthPeak.SetMax(t.depthPeak)

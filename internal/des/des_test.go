@@ -1,6 +1,7 @@
 package des
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -42,11 +43,14 @@ func TestTieBreakIsFIFO(t *testing.T) {
 
 func TestClockAdvances(t *testing.T) {
 	s := New()
+	fired := 0
 	s.Schedule(10, "a", func(sim *Simulator) {
+		fired++
 		if sim.Now() != 10 {
 			t.Errorf("Now()=%v inside event at 10", sim.Now())
 		}
 		sim.After(5, "b", func(sim *Simulator) {
+			fired++
 			if sim.Now() != 15 {
 				t.Errorf("Now()=%v inside chained event, want 15", sim.Now())
 			}
@@ -56,51 +60,8 @@ func TestClockAdvances(t *testing.T) {
 	if s.Now() != 15 {
 		t.Errorf("final clock %v, want 15", s.Now())
 	}
-	if s.Fired() != 2 {
-		t.Errorf("fired %d, want 2", s.Fired())
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	e := s.Schedule(1, "victim", func(*Simulator) { fired = true })
-	s.Cancel(e)
-	s.Run()
-	if fired {
-		t.Error("canceled event fired")
-	}
-	if e.Pending() {
-		t.Error("canceled event still pending")
-	}
-	// Double-cancel and cancel-after-fire must be harmless.
-	s.Cancel(e)
-	s.Cancel(nil)
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	s := New()
-	var got []string
-	keep1 := s.Schedule(1, "keep1", func(*Simulator) { got = append(got, "keep1") })
-	victim := s.Schedule(2, "victim", func(*Simulator) { got = append(got, "victim") })
-	keep2 := s.Schedule(3, "keep2", func(*Simulator) { got = append(got, "keep2") })
-	_ = keep1
-	_ = keep2
-	s.Cancel(victim)
-	s.Run()
-	if len(got) != 2 || got[0] != "keep1" || got[1] != "keep2" {
-		t.Errorf("got %v, want [keep1 keep2]", got)
-	}
-}
-
-func TestCancelFromCallback(t *testing.T) {
-	s := New()
-	fired := false
-	victim := s.Schedule(5, "victim", func(*Simulator) { fired = true })
-	s.Schedule(1, "canceler", func(sim *Simulator) { sim.Cancel(victim) })
-	s.Run()
-	if fired {
-		t.Error("event canceled from a callback still fired")
+	if fired != 2 {
+		t.Errorf("fired %d, want 2", fired)
 	}
 }
 
@@ -125,28 +86,6 @@ func TestNilCallbackPanics(t *testing.T) {
 	New().Schedule(1, "nil", nil)
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var fired []units.Duration
-	for _, at := range []units.Duration{1, 2, 3, 10, 20} {
-		s.Schedule(at, "e", func(sim *Simulator) { fired = append(fired, sim.Now()) })
-	}
-	s.RunUntil(5)
-	if len(fired) != 3 {
-		t.Fatalf("fired %d events before horizon, want 3", len(fired))
-	}
-	if s.Now() != 5 {
-		t.Errorf("clock %v after RunUntil(5)", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Errorf("%d events pending, want 2", s.Pending())
-	}
-	s.Run()
-	if len(fired) != 5 {
-		t.Errorf("fired %d events total, want 5", len(fired))
-	}
-}
-
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
@@ -161,9 +100,6 @@ func TestStop(t *testing.T) {
 	s.Run()
 	if count != 3 {
 		t.Errorf("fired %d events after Stop at 3", count)
-	}
-	if s.Pending() != 7 {
-		t.Errorf("%d pending after Stop, want 7", s.Pending())
 	}
 	s.Run() // resumes
 	if count != 10 {
@@ -190,165 +126,30 @@ func TestStepOnEmpty(t *testing.T) {
 }
 
 // TestHeapPropertyRandomSchedules drives the queue with arbitrary schedules
-// and cancellations and checks events always fire in nondecreasing time
-// order with none lost.
+// and checks events always fire in (time, scheduling order) with none lost.
 func TestHeapPropertyRandomSchedules(t *testing.T) {
-	prop := func(times []uint16, cancelMask []bool) bool {
+	prop := func(times []uint16) bool {
 		s := New()
-		type rec struct {
-			ev       *Event
-			canceled bool
-		}
-		var recs []rec
-		fired := map[*Event]bool{}
-		var firedOrder []units.Duration
+		var firedOrder []int
 		for i, raw := range times {
-			at := units.Duration(raw)
-			ev := s.Schedule(at, "p", func(sim *Simulator) {
-				firedOrder = append(firedOrder, sim.Now())
+			s.Schedule(units.Duration(raw), "p", func(*Simulator) {
+				firedOrder = append(firedOrder, i)
 			})
-			canceled := i < len(cancelMask) && cancelMask[i]
-			recs = append(recs, rec{ev, canceled})
-		}
-		for _, r := range recs {
-			if r.canceled {
-				s.Cancel(r.ev)
-			}
 		}
 		s.Run()
-		// Exact-order check: firing order must be the surviving schedule
-		// times stably sorted — (time, seq) order, since insertion order is
-		// seq order. This pins the heap implementation, not just the heap
+		// Exact-order check: firing order must be the schedule stably
+		// sorted by time — (time, seq) order, since insertion order is seq
+		// order. This pins the heap implementation, not just the heap
 		// property.
-		var expect []units.Duration
-		for i, raw := range times {
-			if !(i < len(cancelMask) && cancelMask[i]) {
-				expect = append(expect, units.Duration(raw))
-			}
-		}
-		sort.SliceStable(expect, func(i, j int) bool { return expect[i] < expect[j] })
-		if len(firedOrder) != len(expect) {
-			return false
-		}
+		expect := make([]int, len(times))
 		for i := range expect {
-			if firedOrder[i] != expect[i] {
-				return false
-			}
+			expect[i] = i
 		}
-		// Conservation check: fired + canceled == scheduled.
-		want := 0
-		for _, r := range recs {
-			if !r.canceled {
-				want++
-			}
-			fired[r.ev] = true
-		}
-		return len(firedOrder) == want
+		sort.SliceStable(expect, func(i, j int) bool { return times[expect[i]] < times[expect[j]] })
+		return slices.Equal(firedOrder, expect)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestPooledFiringIdenticalToFresh replays the same schedule on a fresh
-// simulator and on a pooled one reused via Reset, asserting identical
-// firing sequences: pooling must be invisible to deterministic callbacks.
-func TestPooledFiringIdenticalToFresh(t *testing.T) {
-	drive := func(s *Simulator) []units.Duration {
-		var fired []units.Duration
-		for _, at := range []units.Duration{5, 1, 3, 3, 2} {
-			s.Schedule(at, "e", func(sim *Simulator) {
-				fired = append(fired, sim.Now())
-				if sim.Now() == 2 {
-					sim.After(1.5, "chained", func(sim *Simulator) {
-						fired = append(fired, sim.Now())
-					})
-				}
-			})
-		}
-		s.Run()
-		return fired
-	}
-
-	want := drive(New())
-	pooled := NewPooled()
-	for round := 0; round < 3; round++ {
-		pooled.Reset()
-		got := drive(pooled)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: fired %d events, want %d", round, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("round %d: firing sequence %v, want %v", round, got, want)
-			}
-		}
-	}
-	if pooled.Recycled() == 0 {
-		t.Error("pooled simulator never recycled an event across Reset rounds")
-	}
-}
-
-// TestPooledCancelRecycles asserts canceled events return to the pool and
-// are reused by later Schedules.
-func TestPooledCancelRecycles(t *testing.T) {
-	s := NewPooled()
-	e := s.Schedule(5, "victim", func(*Simulator) {})
-	s.Cancel(e)
-	if e.Pending() {
-		t.Fatal("canceled event still pending")
-	}
-	reused := s.Schedule(7, "reused", func(*Simulator) {})
-	if reused != e {
-		t.Error("canceled event storage was not recycled by the next Schedule")
-	}
-	if s.Recycled() != 1 {
-		t.Errorf("Recycled() = %d, want 1", s.Recycled())
-	}
-}
-
-// TestResetClearsState asserts Reset produces a clean clock and queue even
-// with events still pending.
-func TestResetClearsState(t *testing.T) {
-	s := NewPooled()
-	s.Schedule(1, "a", func(*Simulator) {})
-	s.Schedule(50, "beyond", func(*Simulator) {})
-	s.RunUntil(10)
-	if s.Now() != 10 || s.Pending() != 1 {
-		t.Fatalf("precondition: now=%v pending=%d", s.Now(), s.Pending())
-	}
-	s.Reset()
-	if s.Now() != 0 || s.Pending() != 0 || s.Fired() != 0 {
-		t.Errorf("after Reset: now=%v pending=%d fired=%d, want all zero", s.Now(), s.Pending(), s.Fired())
-	}
-	// The undelivered event must be reusable storage, not a lost alloc.
-	if got := s.Schedule(3, "fresh", func(*Simulator) {}); !got.Pending() {
-		t.Error("schedule after Reset not pending")
-	}
-	if s.Recycled() == 0 {
-		t.Error("Reset did not recycle the still-queued event")
-	}
-	s.Run()
-	if s.Now() != 3 {
-		t.Errorf("clock %v after post-Reset run, want 3", s.Now())
-	}
-}
-
-// TestPooledSteadyStateAllocs asserts the free list actually eliminates
-// per-event allocations at steady queue depth.
-func TestPooledSteadyStateAllocs(t *testing.T) {
-	s := NewPooled()
-	// Warm the pool.
-	for i := 0; i < 4; i++ {
-		s.After(1, "warm", func(*Simulator) {})
-		s.Step()
-	}
-	avg := testing.AllocsPerRun(1000, func() {
-		s.After(1, "bench", func(*Simulator) {})
-		s.Step()
-	})
-	if avg > 0.01 {
-		t.Errorf("pooled schedule/fire allocates %.2f objects per event, want 0", avg)
 	}
 }
 
@@ -367,7 +168,7 @@ func BenchmarkDeepQueue(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := s.After(1, "bench", func(*Simulator) {})
-		s.Cancel(e)
+		s.After(1, "bench", func(*Simulator) {})
+		s.Step()
 	}
 }

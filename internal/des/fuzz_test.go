@@ -7,91 +7,85 @@ import (
 	"exaresil/internal/units"
 )
 
-// firing is one observed event execution.
-type firing struct {
-	at    units.Duration
-	label string
-}
-
 // driveOps interprets a fuzzer-chosen byte stream as scheduler operations
-// against one Simulator and returns the full firing log. Ops are consumed
-// two bytes at a time (opcode, argument):
+// against one Simulator. Ops are consumed two bytes at a time (opcode,
+// argument):
 //
 //	0: schedule a plain event at now + arg
 //	1: schedule an event that schedules a follow-up from inside its own
-//	   callback (the pool-recycle hot path)
-//	2: cancel a still-pending handle
-//	3: RunUntil(now + arg)
+//	   callback
+//	2: Step arg%4 times
+//	3: schedule an event at now + arg that calls Stop, then Run
 //
-// Handles are forfeited whenever time advances, because a pooled *Event is
-// dead once it fires and must not be passed to Cancel afterwards.
-func driveOps(t *testing.T, sim *Simulator, ops []byte) []firing {
+// Every scheduled event is also entered in a reference list with its
+// arming number; each firing must be the pending entry that is first by
+// (time, arming number), i.e. the fire order is a stable sort of the
+// scheduled events by time.
+func driveOps(t *testing.T, sim *Simulator, ops []byte) {
 	t.Helper()
-	var log []firing
-	last := units.Duration(-1)
-	sim.Trace = func(at units.Duration, label string) {
-		if at < last {
-			t.Fatalf("fired %q at %v after an event at %v: time ran backwards", label, at, last)
-		}
-		last = at
-		log = append(log, firing{at, label})
+	type armed struct {
+		at    units.Duration
+		seq   int
+		label string
 	}
-	var live []*Event
-	id := 0
+	var pending []armed
+	seq := 0
+	schedule := func(at units.Duration, label string, fn Callback) {
+		pending = append(pending, armed{at, seq, label})
+		seq++
+		sim.Schedule(at, label, fn)
+	}
+	sim.Trace = func(at units.Duration, label string) {
+		if len(pending) == 0 {
+			t.Fatalf("fired %q at %v with nothing scheduled", label, at)
+		}
+		first := 0
+		for i, p := range pending {
+			if q := pending[first]; p.at < q.at || (p.at == q.at && p.seq < q.seq) {
+				first = i
+			}
+		}
+		if pending[first].label != label || pending[first].at != at {
+			t.Fatalf("fired %q at %v; the first pending event by (time, arming order) is %+v", label, at, pending[first])
+		}
+		pending = append(pending[:first], pending[first+1:]...)
+	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i]%4, ops[i+1]
+		label := fmt.Sprintf("e%d", i/2)
+		at := sim.Now() + units.Duration(arg)
 		switch op {
 		case 0:
-			label := fmt.Sprintf("e%d", id)
-			id++
-			live = append(live, sim.After(units.Duration(arg), label, func(*Simulator) {}))
+			schedule(at, label, func(*Simulator) {})
 		case 1:
-			label := fmt.Sprintf("c%d", id)
-			id++
 			d := units.Duration(arg % 16)
-			live = append(live, sim.After(units.Duration(arg), label, func(s *Simulator) {
-				s.After(d, label+"+", func(*Simulator) {})
-			}))
+			schedule(at, label, func(s *Simulator) {
+				schedule(s.Now()+d, label+"+", func(*Simulator) {})
+			})
 		case 2:
-			if len(live) > 0 {
-				j := int(arg) % len(live)
-				sim.Cancel(live[j])
-				live = append(live[:j], live[j+1:]...)
+			for range arg % 4 {
+				sim.Step()
 			}
 		case 3:
-			sim.RunUntil(sim.Now() + units.Duration(arg))
-			live = nil
+			schedule(at, label+"!", func(s *Simulator) { s.Stop() })
+			sim.Run()
 		}
 	}
 	sim.Run()
-	if got := int(sim.Fired()); got != len(log) {
-		t.Fatalf("Fired() = %d but the trace saw %d events", got, len(log))
+	if len(pending) != 0 {
+		t.Fatalf("%d events never fired: %+v", len(pending), pending)
 	}
-	if sim.Pending() != 0 {
-		t.Fatalf("%d events still pending after Run", sim.Pending())
-	}
-	return log
 }
 
-// FuzzSimulatorPooledEquivalence drives a fresh and a pooled simulator
-// through the same operation stream: event pooling is an allocation
-// strategy, so the observable firing sequence (times, labels, order) must
-// be identical, and fired times must never run backwards.
-func FuzzSimulatorPooledEquivalence(f *testing.F) {
+// FuzzSimulatorOrder drives a simulator through an arbitrary operation
+// stream (see driveOps): every event fires, in (time, arming order), and
+// fired times never run backwards.
+func FuzzSimulatorOrder(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 3, 3, 10})
 	f.Add([]byte{1, 4, 2, 0, 3, 255, 0, 0})
 	f.Add([]byte{0, 1, 0, 1, 2, 1, 1, 9, 3, 2, 0, 7, 1, 7, 3, 200})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		fresh := driveOps(t, New(), ops)
-		pooled := driveOps(t, NewPooled(), ops)
-		if len(fresh) != len(pooled) {
-			t.Fatalf("fresh fired %d events, pooled fired %d", len(fresh), len(pooled))
-		}
-		for i := range fresh {
-			if fresh[i] != pooled[i] {
-				t.Fatalf("firing %d diverged: fresh %v, pooled %v", i, fresh[i], pooled[i])
-			}
-		}
+		driveOps(t, New(), ops)
 	})
 }

@@ -11,22 +11,23 @@ import "exaresil/internal/obs"
 // every engine in the study.
 type Metrics struct {
 	// Scheduled and Dispatched count events entering and leaving the
-	// queue; Canceled counts removals before firing.
+	// queue; Canceled counts events removed before firing. The
+	// per-application engine of internal/resilience keeps its two
+	// deadlines without a Simulator and feeds all three counters with its
+	// own per-run tallies, so they cover every event of a study.
 	Scheduled  *obs.Counter
 	Dispatched *obs.Counter
 	Canceled   *obs.Counter
-	// Recycled counts Schedule calls satisfied from the pooled free list.
-	Recycled *obs.Counter
-	// HeapDepthPeak is the maximum queue depth ever observed.
+	// HeapDepthPeak is the maximum Simulator queue depth ever observed.
 	HeapDepthPeak *obs.Gauge
-	// HeapDepth samples the queue depth at every Schedule.
+	// HeapDepth samples the Simulator queue depth at every Schedule.
 	HeapDepth *obs.Histogram
 }
 
 // NewMetrics registers the engine's series on r (nil r yields the disabled
 // bundle). Re-registration returns the same shared bundle: the whole table
 // is memoized per registry, so layers that construct one bundle per
-// simulation run pay a single cache hit instead of six series lookups.
+// simulation run pay a single cache hit instead of five series lookups.
 func NewMetrics(r *obs.Registry) *Metrics {
 	if r == nil {
 		return nil
@@ -39,7 +40,6 @@ func newMetrics(r *obs.Registry) *Metrics {
 		Scheduled:     r.Counter("exaresil_des_events_scheduled_total", "events pushed onto the simulation queue"),
 		Dispatched:    r.Counter("exaresil_des_events_dispatched_total", "events fired by the simulation loop"),
 		Canceled:      r.Counter("exaresil_des_events_canceled_total", "events removed before firing"),
-		Recycled:      r.Counter("exaresil_des_events_recycled_total", "Schedule calls served from the pooled free list"),
 		HeapDepthPeak: r.Gauge("exaresil_des_heap_depth_peak", "maximum event-queue depth observed"),
 		HeapDepth:     r.Histogram("exaresil_des_heap_depth", "event-queue depth sampled at each Schedule", obs.DepthBuckets),
 	}
@@ -53,7 +53,7 @@ func newMetrics(r *obs.Registry) *Metrics {
 func (s *Simulator) SetMetrics(m *Metrics) {
 	s.FlushMetrics()
 	t := &s.tally
-	t.scheduled, t.dispatched, t.canceled, t.recycled = 0, 0, 0, 0
+	t.scheduled, t.dispatched = 0, 0
 	t.depthPeak, t.depthSum = 0, 0
 	if m == nil {
 		s.m = Metrics{}

@@ -100,13 +100,43 @@ const (
 // against triggers, measured in minutes.
 const workEpsilon = 1e-9
 
-// engine drives one run of a strategy on a discrete-event simulation.
+// timer is one deadline of the engine's event loop. seq is its arming
+// number: every arm takes the next one, so equal times fire in arming
+// order.
+type timer struct {
+	at    units.Duration
+	seq   uint64
+	armed bool
+}
+
+// failureFirst reports whether the failure timer fires before the phase
+// timer: the earlier time wins, and on equal times the earlier-armed timer
+// wins. An unarmed timer never fires first.
+func failureFirst(failure, phaseEnd timer) bool {
+	if !failure.armed || !phaseEnd.armed {
+		return failure.armed
+	}
+	if failure.at != phaseEnd.at {
+		return failure.at < phaseEnd.at
+	}
+	return failure.seq < phaseEnd.seq
+}
+
+// engine drives one run of a strategy. A run never has more than two
+// pending events: the next failure and the end of the current phase. The
+// engine keeps them as two timers and fires the earlier one (see
+// failureFirst), the (time, arming order) rule of a general event queue
+// without the queue.
 type engine struct {
-	sim     *des.Simulator
 	strat   strategy
 	proc    *failures.Process
 	start   units.Duration
 	horizon units.Duration
+
+	now      units.Duration
+	seq      uint64 // arming number of the next armed timer
+	failure  timer  // strikes nextFailure
+	phaseEnd timer  // ends the current phase (segment, checkpoint or restart)
 
 	phase         phase
 	progress      units.Duration // work-minutes completed (post-restore view)
@@ -118,7 +148,6 @@ type engine struct {
 	segStart   units.Duration // wall time the current computing segment began
 	segRate    float64        // progress rate of the current segment
 	inRework   bool           // current segment recomputes lost work
-	pending    *des.Event     // the current phase-end event
 	phaseStart units.Duration // wall time the current blocking phase began
 	ckptLevel  int            // level of the in-flight checkpoint
 	ckptCost   units.Duration // cost of the in-flight checkpoint
@@ -126,19 +155,13 @@ type engine struct {
 
 	ckptRate float64 // compute rate sustained during checkpoints (0 = blocking)
 
-	// Callbacks are bound once per engine and shared by every event they
-	// drive; per-event closures were half the allocations of a study.
-	// The state a firing needs (the pending failure, the in-flight
-	// restart's level and cost) lives in the fields below, which is safe
-	// because at most one event of each kind is ever scheduled at a time.
-	cbAppStart      des.Callback
-	cbSegmentEnd    des.Callback
-	cbCheckpointEnd des.Callback
-	cbRestartEnd    des.Callback
-	cbFailure       des.Callback
-	nextFailure     failures.Failure
-	restoreLevel    int            // level of the in-flight restore
-	restartCost     units.Duration // cost of the in-flight restore
+	nextFailure  failures.Failure
+	restoreLevel int            // level of the in-flight restore
+	restartCost  units.Duration // cost of the in-flight restore
+
+	// Event tallies of the current run, flushed into the des counters
+	// once per run.
+	scheduled, dispatched, canceled uint64
 
 	observer Observer
 	metrics  *techMetrics
@@ -151,65 +174,47 @@ func (e *engine) emit(kind TraceKind, mutate func(*TraceEvent)) {
 	if e.observer == nil {
 		return
 	}
-	ev := TraceEvent{Time: e.sim.Now(), Kind: kind, Progress: e.progress}
+	ev := TraceEvent{Time: e.now, Kind: kind, Progress: e.progress}
 	if mutate != nil {
 		mutate(&ev)
 	}
 	e.observer(ev)
 }
 
-// runEngine executes one simulation run of strat against a failure model
-// on a freshly allocated engine. The executors instead keep a persistent
-// engine and call its run method directly, reusing the bound callbacks and
-// the failure-process storage across sequential runs; both paths produce
-// identical results.
-func runEngine(strat strategy, model *failures.Model, start, horizon units.Duration, src *rng.Source, ckptRate float64, obs Observer, sim *des.Simulator, tm *techMetrics) Result {
-	var e engine
-	return e.run(strat, model, start, horizon, src, ckptRate, obs, sim, tm)
-}
-
-// bind creates the engine's shared event callbacks. Each captures the
-// engine pointer once; run reuses them for every subsequent execution, so
-// a steady-state run schedules events with zero closure allocations.
-func (e *engine) bind() {
-	e.cbAppStart = func(*des.Simulator) {
-		e.emit(TraceStart, nil)
-		e.enterComputing()
+// arm sets t to fire at absolute time at. A deadline before now always
+// indicates a logic error in a strategy, and letting time run backwards
+// would corrupt every statistic downstream, so it panics.
+func (e *engine) arm(t *timer, at units.Duration) {
+	if at < e.now {
+		panic(fmt.Sprintf("resilience: deadline %v before now %v", at, e.now))
 	}
-	e.cbSegmentEnd = func(*des.Simulator) { e.segmentEnd() }
-	e.cbCheckpointEnd = func(*des.Simulator) { e.checkpointEnd() }
-	e.cbRestartEnd = func(*des.Simulator) { e.restartEnd() }
-	e.cbFailure = func(*des.Simulator) { e.handleFailure(e.nextFailure) }
+	*t = timer{at: at, seq: e.seq, armed: true}
+	e.seq++
+	e.scheduled++
 }
 
 // run executes one simulation run of strat against a failure model,
-// reporting state transitions to obs when non-nil. sim may carry a warm
-// event pool from a previous run (the executor reuses one Simulator across
-// a worker's trials); it is Reset here, so any simulator — fresh or used —
-// produces the same run. The engine's own storage (bound callbacks, the
-// failure process) is likewise reused: every per-run field is
-// re-initialized below, so a warm engine and a zero one replay identically.
-func (e *engine) run(strat strategy, model *failures.Model, start, horizon units.Duration, src *rng.Source, ckptRate float64, obs Observer, sim *des.Simulator, tm *techMetrics) Result {
+// reporting state transitions to obs when non-nil and the run's event
+// counts to dm when non-nil. The engine's storage (the failure process)
+// is reused across runs: every per-run field is re-initialized below, so a
+// warm engine and a zero one replay identically.
+func (e *engine) run(strat strategy, model *failures.Model, start, horizon units.Duration, src *rng.Source, ckptRate float64, obs Observer, dm *des.Metrics, tm *techMetrics) Result {
 	if horizon <= start {
 		panic(fmt.Sprintf("resilience: horizon %v not after start %v", horizon, start))
 	}
-	if sim == nil {
-		sim = des.NewPooled()
-	}
-	sim.Reset()
 	strat.reset()
-	if e.cbAppStart == nil {
-		e.bind()
-	}
 	if e.proc == nil {
 		e.proc = model.Process(strat.physicalNodes(), src)
 	} else {
 		e.proc.Reinit(model, strat.physicalNodes(), src)
 	}
-	e.sim = sim
 	e.strat = strat
 	e.start = start
 	e.horizon = horizon
+	e.now = start
+	e.seq = 0
+	e.failure = timer{}
+	e.phaseEnd = timer{}
 	e.phase = phaseComputing
 	e.progress = 0
 	e.highWater = 0
@@ -219,7 +224,6 @@ func (e *engine) run(strat strategy, model *failures.Model, start, horizon units
 	e.segStart = 0
 	e.segRate = 0
 	e.inRework = false
-	e.pending = nil
 	e.phaseStart = 0
 	e.ckptLevel = 0
 	e.ckptCost = 0
@@ -228,6 +232,7 @@ func (e *engine) run(strat strategy, model *failures.Model, start, horizon units
 	e.nextFailure = failures.Failure{}
 	e.restoreLevel = 0
 	e.restartCost = 0
+	e.scheduled, e.dispatched, e.canceled = 0, 0, 0
 	e.observer = obs
 	e.metrics = tm
 	e.res = Result{
@@ -238,10 +243,46 @@ func (e *engine) run(strat strategy, model *failures.Model, start, horizon units
 	}
 	e.done = false
 
-	e.sim.Schedule(start, "app-start", e.cbAppStart)
+	// The application starts at start, before any failure can strike; it
+	// counts as one event. The first failure is armed before the first
+	// segment, so it wins a tie with it.
+	e.scheduled++
+	e.dispatched++
 	e.scheduleNextFailure()
-	e.sim.RunUntil(horizon)
+	e.emit(TraceStart, nil)
+	e.enterComputing()
 
+	// Fire the earlier timer until the application completes or the next
+	// event lies beyond the horizon.
+	for !e.done {
+		fail := failureFirst(e.failure, e.phaseEnd)
+		t := &e.phaseEnd
+		if fail {
+			t = &e.failure
+		}
+		if !t.armed || t.at > horizon {
+			break
+		}
+		e.now = t.at
+		t.armed = false
+		e.dispatched++
+		switch {
+		case fail:
+			e.handleFailure(e.nextFailure)
+		case e.phase == phaseComputing:
+			e.segmentEnd()
+		case e.phase == phaseCheckpointing:
+			e.checkpointEnd()
+		default:
+			e.restartEnd()
+		}
+	}
+
+	if dm != nil {
+		dm.Scheduled.Add(e.scheduled)
+		dm.Dispatched.Add(e.dispatched)
+		dm.Canceled.Add(e.canceled)
+	}
 	if !e.done {
 		e.res.Completed = false
 		e.res.End = horizon
@@ -250,7 +291,7 @@ func (e *engine) run(strat strategy, model *failures.Model, start, horizon units
 	return e.res
 }
 
-// scheduleNextFailure arms the next failure event, if it lands before the
+// scheduleNextFailure arms the next failure, if it lands before the
 // horizon. Failure process times are relative to the run's start.
 func (e *engine) scheduleNextFailure() {
 	f, ok := e.proc.Next()
@@ -261,21 +302,16 @@ func (e *engine) scheduleNextFailure() {
 	if at > e.horizon {
 		return
 	}
-	// Only one failure is ever armed (the next one is drawn inside
-	// handleFailure), so the shared callback can read it from the field.
 	e.nextFailure = f
-	e.sim.Schedule(at, "failure", e.cbFailure)
+	e.arm(&e.failure, at)
 }
 
 // enterComputing begins (or resumes) a computing segment, scheduling its
 // end at the earliest of: work complete, checkpoint trigger, or the
 // high-water mark where the recovery rate drops back to normal speed.
 func (e *engine) enterComputing() {
-	if e.done {
-		return
-	}
 	e.phase = phaseComputing
-	e.segStart = e.sim.Now()
+	e.segStart = e.now
 
 	rate := 1.0
 	e.inRework = e.progress < e.highWater-workEpsilon
@@ -296,7 +332,7 @@ func (e *engine) enterComputing() {
 		}
 	}
 	dist = max(dist, 0)
-	e.pending = e.sim.After(units.Duration(float64(dist)/rate), "segment-end", e.cbSegmentEnd)
+	e.arm(&e.phaseEnd, e.now+units.Duration(float64(dist)/rate))
 }
 
 // materialize folds the progress of the current segment into the engine
@@ -310,7 +346,7 @@ func (e *engine) materialize() {
 	if e.phase == phaseCheckpointing && e.segRate <= 0 {
 		return
 	}
-	now := e.sim.Now()
+	now := e.now
 	delta := units.Duration(float64(now-e.segStart) * e.segRate)
 	e.progress += delta
 	e.workSinceSync += delta
@@ -332,9 +368,8 @@ func (e *engine) segmentEnd() {
 	case e.progress >= e.totalWork-workEpsilon:
 		e.done = true
 		e.res.Completed = true
-		e.res.End = e.sim.Now()
+		e.res.End = e.now
 		e.emit(TraceComplete, nil)
-		e.sim.Stop()
 	case e.interval < units.Duration(math.Inf(1)) && e.workSinceSync >= e.interval-workEpsilon:
 		e.startCheckpoint()
 	default:
@@ -347,15 +382,15 @@ func (e *engine) segmentEnd() {
 func (e *engine) startCheckpoint() {
 	level, cost := e.strat.nextCheckpoint()
 	e.phase = phaseCheckpointing
-	e.phaseStart = e.sim.Now()
+	e.phaseStart = e.now
 	e.ckptLevel = level
 	e.ckptCost = cost
 	e.ckptSaved = e.progress
-	e.segStart = e.sim.Now()
+	e.segStart = e.now
 	e.segRate = e.ckptRate
 	e.inRework = false
 	e.emit(TraceCheckpointStart, func(ev *TraceEvent) { ev.Level = level })
-	e.pending = e.sim.After(cost, "checkpoint-end", e.cbCheckpointEnd)
+	e.arm(&e.phaseEnd, e.now+cost)
 }
 
 // checkpointEnd commits a completed checkpoint. The committed state is the
@@ -373,12 +408,10 @@ func (e *engine) checkpointEnd() {
 	e.enterComputing()
 }
 
-// handleFailure reacts to a failure event.
+// handleFailure reacts to a failure event. The next failure is armed on
+// the way out, after any restart timer the failure arms.
 func (e *engine) handleFailure(f failures.Failure) {
 	defer e.scheduleNextFailure()
-	if e.done {
-		return
-	}
 	e.materialize()
 	e.res.Failures++
 	e.metrics.observeFailure(int(f.Severity))
@@ -389,22 +422,25 @@ func (e *engine) handleFailure(f failures.Failure) {
 		ev.Rollback = resp.rollback
 	})
 	if !resp.rollback {
-		// Absorbed (a surviving replica). Pending phase events remain
-		// valid: nothing about the execution rate changed.
+		// Absorbed (a surviving replica). The phase timer stays armed:
+		// nothing about the execution rate changed.
 		return
 	}
 
-	e.sim.Cancel(e.pending)
+	if e.phaseEnd.armed {
+		e.phaseEnd.armed = false
+		e.canceled++
+	}
 	e.res.Rollbacks++
 	// Wall time sunk into an interrupted blocking phase still belongs to
 	// that phase in the makespan decomposition.
 	switch e.phase {
 	case phaseCheckpointing:
-		e.res.CheckpointTime += e.sim.Now() - e.phaseStart
+		e.res.CheckpointTime += e.now - e.phaseStart
 	case phaseRestarting:
-		e.res.RestartTime += e.sim.Now() - e.phaseStart
+		e.res.RestartTime += e.now - e.phaseStart
 		if e.restoreLevel == 0 {
-			e.res.RelaunchTime += e.sim.Now() - e.phaseStart
+			e.res.RelaunchTime += e.now - e.phaseStart
 		}
 	}
 	if lost := e.progress - resp.restoreTo; lost > 0 {
@@ -413,12 +449,12 @@ func (e *engine) handleFailure(f failures.Failure) {
 	e.progress = resp.restoreTo
 	e.workSinceSync = 0
 	e.phase = phaseRestarting
-	e.phaseStart = e.sim.Now()
-	// At most one restore is in flight; a later failure cancels this event
-	// and overwrites the fields before rescheduling.
+	e.phaseStart = e.now
+	// At most one restore is in flight; a later failure disarms its timer
+	// and overwrites the fields before re-arming.
 	e.restoreLevel = resp.restoreLevel
 	e.restartCost = resp.restartCost
-	e.pending = e.sim.After(resp.restartCost, "restart-end", e.cbRestartEnd)
+	e.arm(&e.phaseEnd, e.now+resp.restartCost)
 }
 
 // restartEnd fires when a restore completes and computation resumes.

@@ -688,3 +688,27 @@ func TestSemiBlockingSnapshotSemantics(t *testing.T) {
 		}
 	}
 }
+
+func TestFailureFirst(t *testing.T) {
+	armed := func(at units.Duration, seq uint64) timer { return timer{at: at, seq: seq, armed: true} }
+	cases := []struct {
+		name              string
+		failure, phaseEnd timer
+		want              bool
+	}{
+		{"earlier failure", armed(5, 9), armed(7, 1), true},
+		{"earlier phase end", armed(7, 1), armed(5, 9), false},
+		{"tie, failure armed first", armed(5, 1), armed(5, 2), true},
+		// A failure is re-armed after the restart timer its predecessor
+		// arms, so a tie with that restart's end goes to the restart.
+		{"tie, failure armed after the restart timer", armed(5, 3), armed(5, 2), false},
+		{"no failure armed", timer{}, armed(5, 1), false},
+		{"no phase end armed", armed(5, 1), timer{}, true},
+		{"neither armed", timer{}, timer{}, false},
+	}
+	for _, c := range cases {
+		if got := failureFirst(c.failure, c.phaseEnd); got != c.want {
+			t.Errorf("%s: failureFirst = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -115,7 +115,7 @@ func (m *Metrics) forTechnique(t core.Technique) *techMetrics {
 	return &m.perTech[t]
 }
 
-// desMetrics resolves the engine-simulator bundle.
+// desMetrics resolves the des event counters the engine feeds.
 func (m *Metrics) desMetrics() *des.Metrics {
 	if m == nil {
 		return nil
@@ -159,12 +159,7 @@ func (t *techMetrics) observeRun(res Result) {
 // SetMetrics attaches (or detaches) the bundle to the executor. Unlike
 // observers, metrics survive Clone: the series are atomic and shared, so
 // parallel trial workers aggregate into one bundle.
-func (x *executor) SetMetrics(m *Metrics) {
-	x.metrics = m
-	if x.sim != nil {
-		x.sim.SetMetrics(m.desMetrics())
-	}
-}
+func (x *executor) SetMetrics(m *Metrics) { x.metrics = m }
 
 // Instrument attaches the metrics bundle to an executor if it supports
 // instrumentation, reporting whether it did (the Ideal executor does not:

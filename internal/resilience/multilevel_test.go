@@ -53,8 +53,7 @@ func TestSingleLevelScratchRestartAccounting(t *testing.T) {
 		degree:      2,
 		phys:        8,
 		replicated:  4,
-		failedIn:    make([]uint64, 8),
-		gen:         1,
+		failed:      map[int]bool{},
 	}
 	red.reset()
 	if resp := red.onFailure(failures.Failure{Node: 0}, 10); resp.rollback {

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"fmt"
+	"maps"
 
 	"exaresil/internal/core"
 	"exaresil/internal/failures"
@@ -28,11 +29,11 @@ type redundancy struct {
 
 	saved units.Duration
 	has   bool
-	// failedIn holds, per physical node, the "generation" in which it
-	// last failed; a node counts as failed only if its entry equals gen.
-	// Bumping gen clears every mark in O(1).
-	failedIn []uint64
-	gen      uint64
+	// failed holds the physical nodes struck since the last checkpoint or
+	// restore. It stays as small as the failures of one checkpoint
+	// interval, where a per-node table would cost every executor (and
+	// clone) up to a few MB.
+	failed map[int]bool
 }
 
 // newRedundancy builds a redundancy executor of the given degree. The
@@ -46,8 +47,7 @@ func newRedundancy(app workload.App, costs Costs, model *failures.Model, degree 
 		degree:      degree,
 		phys:        phys,
 		replicated:  phys - app.Nodes,
-		failedIn:    make([]uint64, phys),
-		gen:         1,
+		failed:      map[int]bool{},
 	}
 	x := &executor{strat: s, model: model, phys: phys, viable: true}
 	if phys > machineNodes {
@@ -100,7 +100,7 @@ func (s *redundancy) nextCheckpoint() (int, units.Duration) { return 3, s.costs.
 func (s *redundancy) onCheckpointDone(_ int, progress units.Duration) {
 	s.saved = progress
 	s.has = true
-	s.gen++
+	clear(s.failed)
 }
 
 // replicaLayout: physical nodes [0, N_a) are the primaries of virtual
@@ -130,15 +130,15 @@ func (s *redundancy) partnerOf(phys int) int {
 // node has now lost every replica since the last checkpoint or restore.
 func (s *redundancy) onFailure(f failures.Failure, _ units.Duration) response {
 	node := f.Node
-	s.failedIn[node] = s.gen
-	if partner := s.partnerOf(node); partner >= 0 && s.failedIn[partner] != s.gen {
+	s.failed[node] = true
+	if partner := s.partnerOf(node); partner >= 0 && !s.failed[partner] {
 		// The virtual node still has a live replica: absorbed.
 		return response{}
 	}
 	// Virtual node lost: restore from the last PFS checkpoint — or, before
 	// one has committed, relaunch from scratch (trace level 0, same PFS
 	// re-provisioning cost). The restart clears the failure marks.
-	s.gen++
+	clear(s.failed)
 	level := 0
 	if s.has {
 		level = 3
@@ -155,14 +155,13 @@ func (s *redundancy) recoverySpeed() float64 { return 1 }
 
 func (s *redundancy) reset() {
 	s.saved, s.has = 0, false
-	s.gen++
+	clear(s.failed)
 }
 
 // clone deep-copies the per-replica failure marks so concurrent runs do
 // not share state.
 func (s *redundancy) clone() strategy {
 	dup := *s
-	dup.failedIn = make([]uint64, len(s.failedIn))
-	copy(dup.failedIn, s.failedIn)
+	dup.failed = maps.Clone(s.failed)
 	return &dup
 }

@@ -111,49 +111,38 @@ type executor struct {
 	observer Observer
 	metrics  *Metrics
 
-	// sim is the executor's private discrete-event simulator, created on
-	// first Run and reused (with its warm event pool) across sequential
-	// runs. Executors are single-goroutine by contract, and Clone gives
-	// each parallel worker its own executor — and thus its own simulator.
-	sim *des.Simulator
-
-	// eng is the executor's reusable execution engine: its bound event
-	// callbacks and failure-process storage persist across sequential
-	// runs (Clone deliberately leaves it zero — the callbacks capture the
-	// original's engine address).
+	// eng is the executor's reusable execution engine: its failure-process
+	// storage persists across sequential runs (Clone deliberately leaves
+	// it zero, so each parallel worker gets its own).
 	eng engine
 
-	// rt, when non-nil, overrides sim and eng with machinery shared among
-	// several executors (see Runtime): the cluster layer builds one
-	// executor per application and runs them strictly sequentially, so
-	// one engine and one simulator can serve the whole run.
+	// rt, when non-nil, overrides eng with an engine shared among several
+	// executors (see Runtime): the cluster layer builds one executor per
+	// application and runs them strictly sequentially, so one engine can
+	// serve the whole run.
 	rt *Runtime
 }
 
-// Runtime bundles the execution machinery — a pooled simulator and a
-// reusable engine — that a group of strictly sequential executors can
-// share. Building one executor per application was dominated not by the
-// strategy math but by this machinery (bound callbacks, event pool,
-// failure-process storage); sharing it makes executor construction cheap.
-// A Runtime is single-goroutine like the executors themselves: never share
-// one across concurrent workers.
+// Runtime bundles the execution machinery — a reusable engine and the des
+// event counters it feeds — that a group of strictly sequential executors
+// can share, so building one executor per application does not also build
+// one engine per application. A Runtime is single-goroutine like the
+// executors themselves: never share one across concurrent workers.
 type Runtime struct {
-	sim *des.Simulator
 	eng engine
+	des *des.Metrics
 }
 
-// NewRuntime creates a shared runtime, attaching m's engine-simulator
-// series (nil m leaves the simulator uninstrumented).
+// NewRuntime creates a shared runtime whose engine counts its events in
+// m's des series (nil m leaves them uncounted).
 func NewRuntime(m *Metrics) *Runtime {
-	rt := &Runtime{sim: des.NewPooled()}
-	rt.sim.SetMetrics(m.desMetrics())
-	return rt
+	return &Runtime{des: m.desMetrics()}
 }
 
 // AttachRuntime points the executor at shared machinery, reporting whether
 // the executor supports it (the Ideal executor does not — it never
-// simulates). Attach before the first Run; the executor then schedules all
-// its runs on the runtime's simulator and engine.
+// simulates). Attach before the first Run; the executor then executes all
+// its runs on the runtime's engine.
 func AttachRuntime(x Executor, rt *Runtime) bool {
 	e, ok := x.(*executor)
 	if ok {
@@ -202,14 +191,10 @@ func (x *executor) Run(start, horizon units.Duration, src *rng.Source) Result {
 		}
 	}
 	if x.rt != nil {
-		return x.rt.eng.run(x.strat, x.model, start, horizon, src, x.ckptRate, x.observer, x.rt.sim,
+		return x.rt.eng.run(x.strat, x.model, start, horizon, src, x.ckptRate, x.observer, x.rt.des,
 			x.metrics.forTechnique(x.strat.technique()))
 	}
-	if x.sim == nil {
-		x.sim = des.NewPooled()
-		x.sim.SetMetrics(x.metrics.desMetrics())
-	}
-	return x.eng.run(x.strat, x.model, start, horizon, src, x.ckptRate, x.observer, x.sim,
+	return x.eng.run(x.strat, x.model, start, horizon, src, x.ckptRate, x.observer, x.metrics.desMetrics(),
 		x.metrics.forTechnique(x.strat.technique()))
 }
 

@@ -70,7 +70,7 @@ go test -race -count=1 ./internal/check/ ./internal/resilience/ ./internal/clust
 	./internal/serveclient/ ./internal/load/ ./internal/selection/ ./internal/analytic/ ./internal/rng/
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
-go test ./internal/des/ -run='^$' -fuzz='^FuzzSimulatorPooledEquivalence$' -fuzztime="$FUZZTIME"
+go test ./internal/des/ -run='^$' -fuzz='^FuzzSimulatorOrder$' -fuzztime="$FUZZTIME"
 go test ./internal/resilience/ -run='^$' -fuzz='^FuzzOptimizeMultilevel$' -fuzztime="$FUZZTIME"
 go test ./internal/resilience/ -run='^$' -fuzz='^FuzzReStoreReplicaLoss$' -fuzztime="$FUZZTIME"
 go test ./internal/workload/ -run='^$' -fuzz='^FuzzReadPattern$' -fuzztime="$FUZZTIME"
