@@ -12,13 +12,6 @@
 // SIGINT/SIGTERM drains: admission stops (503), every queued and running
 // job finishes, then the listener closes.
 //
-// With -autoscale the worker pool is elastic: it grows toward -max-workers
-// when the smoothed queue-pressure signal stays above -autoscale-up and
-// shrinks toward -min-workers when it stays below -autoscale-down, never
-// killing in-flight jobs (retiring workers drain first). Decisions and
-// signals are exported as exaresil_serve_autoscale_* metrics; see
-// scripts/autoscale_soak.sh for the elasticity proof.
-//
 // The -chaos flag arms the internal/chaos fault injector: seeded random
 // latency, synthetic 500s, connection resets, and mid-job worker crashes,
 // tuned by the -chaos-* flags and counted in
@@ -74,13 +67,6 @@ func run(argv []string) error {
 	chaosResetRate := fs.Float64("chaos-reset-rate", 0.05, "fraction of requests whose connection is reset")
 	chaosCrashRate := fs.Float64("chaos-crash-rate", 0.2, "fraction of job executions crashed mid-run")
 	chaosCrashCells := fs.Int("chaos-crash-cells", 3, "max grid cells a crashed execution completes first")
-	autoscale := fs.Bool("autoscale", false, "grow/shrink the worker pool with load (see the autoscale-* and min/max-workers flags)")
-	minWorkers := fs.Int("min-workers", 1, "autoscaler pool floor")
-	maxWorkers := fs.Int("max-workers", 0, "autoscaler pool ceiling (0 = 4x floor)")
-	autoInterval := fs.Duration("autoscale-interval", time.Second, "autoscaler evaluation period")
-	autoUp := fs.Float64("autoscale-up", 1.5, "scale up above this smoothed queued-jobs-per-worker signal")
-	autoDown := fs.Float64("autoscale-down", 0.25, "scale down below this smoothed queued-jobs-per-worker signal")
-	autoCooldown := fs.Duration("autoscale-cooldown", 0, "minimum gap between scaling decisions (0 = 3x interval)")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
@@ -125,18 +111,6 @@ func run(argv []string) error {
 	if inj != nil {
 		scfg.CrashHook = inj.Crash
 	}
-	if *autoscale {
-		scfg.Autoscale = &serve.AutoscaleConfig{
-			Min:           *minWorkers,
-			Max:           *maxWorkers,
-			Interval:      *autoInterval,
-			UpThreshold:   *autoUp,
-			DownThreshold: *autoDown,
-			Cooldown:      *autoCooldown,
-		}
-	} else if *minWorkers != 1 || *maxWorkers != 0 {
-		return fmt.Errorf("-min-workers/-max-workers need -autoscale")
-	}
 
 	srv, err := serve.New(scfg)
 	if err != nil {
@@ -158,10 +132,6 @@ func run(argv []string) error {
 	h := srv.Health()
 	log.Printf("exaserve: listening on http://%s (%d workers, %d queue slots)",
 		ln.Addr(), h.Workers, h.QueueCapacity)
-	if h.Autoscale {
-		log.Printf("exaserve: autoscaler armed (%d-%d workers, every %s, up>%.2f down<%.2f)",
-			h.MinWorkers, h.MaxWorkers, *autoInterval, *autoUp, *autoDown)
-	}
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()

@@ -272,7 +272,6 @@ type run struct {
 	err     error
 	m       *clusterMetrics
 	rm      *resilience.Metrics
-	runtime *resilience.Runtime // engine shared by all executors
 
 	// mappingCb is the shared mapping-event callback, bound once.
 	mappingCb des.Callback
@@ -519,12 +518,6 @@ func (c *run) prepare(j *job) error {
 	j.exec = exec
 	j.phys = exec.PhysicalNodes()
 	resilience.Instrument(exec, c.rm)
-	// All of a run's executors fire strictly sequentially inside the
-	// cluster's event loop, so they share one engine.
-	if c.runtime == nil {
-		c.runtime = resilience.NewRuntime(c.rm)
-	}
-	resilience.AttachRuntime(exec, c.runtime)
 	return nil
 }
 

@@ -165,6 +165,5 @@ func (c *run) placeClass(j *job) (*classState, resilience.Executor) {
 		return nil, nil
 	}
 	resilience.Instrument(exec, c.rm)
-	resilience.AttachRuntime(exec, c.runtime)
 	return cls, exec
 }

@@ -129,7 +129,7 @@ func failureFirst(failure, phaseEnd timer) bool {
 // without the queue.
 type engine struct {
 	strat   strategy
-	proc    *failures.Process
+	proc    failures.Process
 	start   units.Duration
 	horizon units.Duration
 
@@ -203,11 +203,7 @@ func (e *engine) run(strat strategy, model *failures.Model, start, horizon units
 		panic(fmt.Sprintf("resilience: horizon %v not after start %v", horizon, start))
 	}
 	strat.reset()
-	if e.proc == nil {
-		e.proc = model.Process(strat.physicalNodes(), src)
-	} else {
-		e.proc.Reinit(model, strat.physicalNodes(), src)
-	}
+	e.proc.Reinit(model, strat.physicalNodes(), src)
 	e.strat = strat
 	e.start = start
 	e.horizon = horizon

@@ -52,12 +52,6 @@ type MultilevelConfig struct {
 	// UseExact refines the first-order grid winner with the exact
 	// Markov-chain evaluation (OptimizeMultilevelExact).
 	UseExact bool
-	// DisableCache bypasses the schedule memoization cache, forcing every
-	// optimizer call to re-run the full search. The cluster studies
-	// construct an executor per mapped job, so caching is on by default;
-	// disable it only to measure the raw search or to bound memory in
-	// long-lived services sweeping unbounded parameter spaces.
-	DisableCache bool
 }
 
 // DefaultMultilevelConfig returns search bounds ample for every
@@ -144,13 +138,6 @@ var (
 	optCacheMisses atomic.Uint64
 )
 
-// cacheKey canonicalizes the bounds so toggling the cache knob itself
-// never splits otherwise-identical entries.
-func cacheKey(costs Costs, rates [3]units.Rate, bounds MultilevelConfig) optCacheKey {
-	bounds.DisableCache = false
-	return optCacheKey{costs: costs, rates: rates, bounds: bounds}
-}
-
 // ScheduleCacheStats reports how many optimizer calls were served from the
 // memoization cache versus computed. Counters are cumulative across the
 // process; FlushScheduleCache resets them.
@@ -173,17 +160,14 @@ func FlushScheduleCache() {
 // failure rate; pattern counts are scanned exhaustively within the bounds.
 // It returns an error when no schedule in the search space is feasible.
 //
-// Results are memoized on the full (costs, rates, bounds) tuple unless
-// bounds.DisableCache is set; cached and uncached calls return identical
-// schedules because the search is deterministic.
+// Results are memoized on the full (costs, rates, bounds) tuple; the
+// search is deterministic, so a cache hit returns exactly what the raw
+// search (optimizeMultilevel) would.
 func OptimizeMultilevel(costs Costs, rates [3]units.Rate, bounds MultilevelConfig) (MultilevelSchedule, error) {
 	if err := bounds.Validate(); err != nil {
 		return MultilevelSchedule{}, err
 	}
-	if bounds.DisableCache {
-		return optimizeMultilevel(costs, rates, bounds)
-	}
-	key := cacheKey(costs, rates, bounds)
+	key := optCacheKey{costs: costs, rates: rates, bounds: bounds}
 	if v, ok := optCache.Load(key); ok {
 		optCacheHits.Add(1)
 		e := v.(optCacheEntry)

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"exaresil/internal/core"
@@ -34,12 +35,9 @@ type teamReplication struct {
 	// repairWindow is how long a struck node's replacement spends
 	// re-syncing from its live twin before the pair is redundant again.
 	repairWindow units.Duration
-	// repairUntil holds, per physical node, the (run-relative) time its
-	// in-flight re-sync completes; an entry only counts if its generation
-	// mark equals gen. Bumping gen clears every mark in O(1).
-	repairUntil []units.Duration
-	repairIn    []uint64
-	gen         uint64
+	// repairUntil holds the (run-relative) time each struck node's
+	// re-sync completes, for the nodes struck since the last relaunch.
+	repairUntil map[int]units.Duration
 }
 
 // newTeamReplication builds the Lightweight Replication executor. Like full
@@ -52,9 +50,7 @@ func newTeamReplication(app workload.App, costs Costs, model *failures.Model, sy
 		syncPenalty:  syncPenalty,
 		phys:         phys,
 		repairWindow: costs.L2,
-		repairUntil:  make([]units.Duration, phys),
-		repairIn:     make([]uint64, phys),
-		gen:          1,
+		repairUntil:  map[int]units.Duration{},
 	}
 	x := &executor{strat: s, model: model, phys: phys, viable: true}
 	if phys > machineNodes {
@@ -100,7 +96,8 @@ func (s *teamReplication) twinOf(phys int) int {
 // inRepair reports whether node's replacement is still re-syncing at the
 // (run-relative) time at.
 func (s *teamReplication) inRepair(node int, at units.Duration) bool {
-	return s.repairIn[node] == s.gen && s.repairUntil[node] > at
+	until, ok := s.repairUntil[node]
+	return ok && until > at
 }
 
 // onFailure: transients are absorbed outright (memory intact, the process
@@ -117,7 +114,6 @@ func (s *teamReplication) onFailure(f failures.Failure, _ units.Duration) respon
 		if !s.inRepair(s.twinOf(f.Node), f.Time) {
 			// The twin covers; the struck node re-syncs from it. A repeat
 			// failure on a node already in repair just restarts its window.
-			s.repairIn[f.Node] = s.gen
 			s.repairUntil[f.Node] = f.Time + s.repairWindow
 			return response{}
 		}
@@ -125,7 +121,7 @@ func (s *teamReplication) onFailure(f failures.Failure, _ units.Duration) respon
 	// Catastrophic, or a node loss whose twin was still re-syncing: the
 	// virtual node is gone. Relaunch from scratch (trace level 0, PFS
 	// re-provisioning cost) and clear the repair marks.
-	s.gen++
+	clear(s.repairUntil)
 	return response{
 		rollback:     true,
 		restoreTo:    0,
@@ -136,15 +132,12 @@ func (s *teamReplication) onFailure(f failures.Failure, _ units.Duration) respon
 
 func (s *teamReplication) recoverySpeed() float64 { return 1 }
 
-func (s *teamReplication) reset() { s.gen++ }
+func (s *teamReplication) reset() { clear(s.repairUntil) }
 
-// clone deep-copies the per-node repair marks so concurrent runs do not
-// share state.
+// clone deep-copies the repair marks so concurrent runs do not share
+// state.
 func (s *teamReplication) clone() strategy {
 	dup := *s
-	dup.repairUntil = make([]units.Duration, len(s.repairUntil))
-	copy(dup.repairUntil, s.repairUntil)
-	dup.repairIn = make([]uint64, len(s.repairIn))
-	copy(dup.repairIn, s.repairIn)
+	dup.repairUntil = maps.Clone(s.repairUntil)
 	return &dup
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"exaresil/internal/core"
-	"exaresil/internal/des"
 	"exaresil/internal/failures"
 	"exaresil/internal/machine"
 	"exaresil/internal/rng"
@@ -111,44 +110,10 @@ type executor struct {
 	observer Observer
 	metrics  *Metrics
 
-	// eng is the executor's reusable execution engine: its failure-process
-	// storage persists across sequential runs (Clone deliberately leaves
-	// it zero, so each parallel worker gets its own).
+	// eng is the executor's execution engine, failure process included,
+	// reused across its sequential runs (Clone deliberately leaves it
+	// zero, so each parallel worker gets its own).
 	eng engine
-
-	// rt, when non-nil, overrides eng with an engine shared among several
-	// executors (see Runtime): the cluster layer builds one executor per
-	// application and runs them strictly sequentially, so one engine can
-	// serve the whole run.
-	rt *Runtime
-}
-
-// Runtime bundles the execution machinery — a reusable engine and the des
-// event counters it feeds — that a group of strictly sequential executors
-// can share, so building one executor per application does not also build
-// one engine per application. A Runtime is single-goroutine like the
-// executors themselves: never share one across concurrent workers.
-type Runtime struct {
-	eng engine
-	des *des.Metrics
-}
-
-// NewRuntime creates a shared runtime whose engine counts its events in
-// m's des series (nil m leaves them uncounted).
-func NewRuntime(m *Metrics) *Runtime {
-	return &Runtime{des: m.desMetrics()}
-}
-
-// AttachRuntime points the executor at shared machinery, reporting whether
-// the executor supports it (the Ideal executor does not — it never
-// simulates). Attach before the first Run; the executor then executes all
-// its runs on the runtime's engine.
-func AttachRuntime(x Executor, rt *Runtime) bool {
-	e, ok := x.(*executor)
-	if ok {
-		e.rt = rt
-	}
-	return ok
 }
 
 // Technique implements Executor.
@@ -189,10 +154,6 @@ func (x *executor) Run(start, horizon units.Duration, src *rng.Source) Result {
 			Baseline:      x.strat.app().Baseline(),
 			EffectiveWork: x.strat.effectiveWork(),
 		}
-	}
-	if x.rt != nil {
-		return x.rt.eng.run(x.strat, x.model, start, horizon, src, x.ckptRate, x.observer, x.rt.des,
-			x.metrics.forTechnique(x.strat.technique()))
 	}
 	return x.eng.run(x.strat, x.model, start, horizon, src, x.ckptRate, x.observer, x.metrics.desMetrics(),
 		x.metrics.forTechnique(x.strat.technique()))

@@ -33,6 +33,18 @@ func TestRetryAfterColdStartFloor(t *testing.T) {
 	}
 }
 
+// TestRetryAfterTracksActiveWidth: the 429 pacing estimate divides the
+// queued work by the pool width, so twice the workers halve the advice.
+func TestRetryAfterTracksActiveWidth(t *testing.T) {
+	for _, c := range []struct{ workers, want int }{{1, 10}, {2, 5}} {
+		srv, _ := newTestServer(t, Config{Workers: c.workers, Runner: newBlockingRunner(false).run})
+		srv.noteJobSeconds(10) // seed the execution EWMA: 10s per job
+		if got := srv.RetryAfterSeconds(); got != c.want {
+			t.Errorf("RetryAfter at %d workers = %d, want %d", c.workers, got, c.want)
+		}
+	}
+}
+
 // TestDeadFlightReplacedOnAcquire: the join-after-abort race. A flight
 // whose last subscriber canceled (detach → aborted) but whose cancel
 // path has not yet swept the cache must not be joinable — attach refuses

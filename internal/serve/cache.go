@@ -11,10 +11,9 @@ import (
 // identical spec while it was queued or running (single-flight). The
 // flight — not the job — is what the worker pool schedules.
 type flight struct {
-	key     string
-	spec    Spec
-	shard   int       // queue index stamped by Pool.submit
-	created time.Time // admission instant, for the autoscaler's wait signal
+	key   string
+	spec  Spec
+	shard int // queue index stamped by Pool.submit
 
 	mu       sync.Mutex
 	jobs     []*Job // every job attached to this execution
@@ -186,7 +185,7 @@ func newCache(cap int, m *Metrics) *Cache {
 // are atomic: admit runs under the cache lock (it must not block — the
 // pool's submit rejects rather than waits) and a rejected flight is
 // never inserted, so no other submitter can have joined it. The admit
-// callback routes the flight to a shard of the pool's current width.
+// callback routes the flight to its shard.
 func (c *Cache) acquire(spec Spec, admit func(*flight) error) (res *Result, fl *flight, created bool, err error) {
 	key := spec.Key()
 	c.mu.Lock()
@@ -213,7 +212,7 @@ func (c *Cache) acquire(spec Spec, admit func(*flight) error) (res *Result, fl *
 			return nil, e.fl, false, nil
 		}
 	}
-	fl = &flight{key: key, spec: spec, created: time.Now()}
+	fl = &flight{key: key, spec: spec}
 	if err := admit(fl); err != nil {
 		return nil, nil, false, err
 	}

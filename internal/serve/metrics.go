@@ -33,19 +33,6 @@ type Metrics struct {
 	// Queue and backpressure.
 	QueueRejected *obs.Counter
 
-	// Autoscaler (elastic pool; see autoscale.go). The blocked counters
-	// record decisions a streak earned but the guard rails suppressed,
-	// one increment per evaluation tick; the signal gauges are
-	// milli-scaled (obs gauges are integers).
-	AutoscaleWorkers         *obs.Gauge   // current active pool width
-	AutoscaleUp              *obs.Counter // grow decisions applied
-	AutoscaleDown            *obs.Counter // shrink decisions applied
-	AutoscaleBlockedBound    *obs.Counter // held at min/max width
-	AutoscaleBlockedCooldown *obs.Counter // held by the post-scale cooldown
-	AutoscaleBlockedDraining *obs.Counter // held while a retired shard drains
-	AutoscaleQueueSignal     *obs.Gauge   // EWMA queued-per-worker × 1000
-	AutoscaleWaitSignal      *obs.Gauge   // EWMA queue wait in milliseconds
-
 	// Result cache.
 	CacheHits      *obs.Counter
 	CacheJoined    *obs.Counter
@@ -77,15 +64,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		StoreEvicted:  r.Counter("exaresil_serve_store_evicted_total", "terminal jobs aged out of the bounded job store"),
 
 		QueueRejected: r.Counter("exaresil_serve_queue_rejections_total", "submissions rejected with 429 because the target shard queue was full"),
-
-		AutoscaleWorkers:         r.Gauge("exaresil_serve_autoscale_workers", "active worker-pool width chosen by the autoscaler"),
-		AutoscaleUp:              r.Counter("exaresil_serve_autoscale_decisions_total", "autoscale width changes applied", obs.L("direction", "up")),
-		AutoscaleDown:            r.Counter("exaresil_serve_autoscale_decisions_total", "autoscale width changes applied", obs.L("direction", "down")),
-		AutoscaleBlockedBound:    r.Counter("exaresil_serve_autoscale_blocked_total", "autoscale decisions suppressed by guard rails", obs.L("reason", "bound")),
-		AutoscaleBlockedCooldown: r.Counter("exaresil_serve_autoscale_blocked_total", "autoscale decisions suppressed by guard rails", obs.L("reason", "cooldown")),
-		AutoscaleBlockedDraining: r.Counter("exaresil_serve_autoscale_blocked_total", "autoscale decisions suppressed by guard rails", obs.L("reason", "draining")),
-		AutoscaleQueueSignal:     r.Gauge("exaresil_serve_autoscale_queue_signal_milli", "EWMA of queued flights per active worker, milli-scaled"),
-		AutoscaleWaitSignal:      r.Gauge("exaresil_serve_autoscale_wait_signal_milli", "EWMA of queue wait before execution, milliseconds"),
 
 		CacheHits:      r.Counter("exaresil_serve_cache_requests_total", "result cache outcomes at submit", obs.L("outcome", "hit")),
 		CacheJoined:    r.Counter("exaresil_serve_cache_requests_total", "result cache outcomes at submit", obs.L("outcome", "joined")),

@@ -17,43 +17,30 @@ var (
 	ErrDraining = errors.New("serve: draining")
 )
 
-// Pool is the bounded, sharded worker pool. Each worker owns one shard —
-// a mutex-and-condvar guarded queue of flights — and flights are routed
-// to shards by cache-key hash, so a given spec always queues behind the
-// same worker and the shards need no cross-worker stealing. Admission
-// never blocks: a full shard rejects immediately (backpressure) instead
-// of queueing without bound. Unlike a channel, the queue supports
-// discard: a flight whose every subscriber canceled while it waited is
-// removed on the spot, releasing its admission slot immediately instead
-// of holding backpressure capacity until a worker reaches and skips it.
-//
-// The pool is elastic: grow and shrink move the active width — the prefix
-// of shards that accept new work — one shard at a time, for the
-// autoscaler (see autoscale.go). The shards slice only ever grows, so a
-// flight's shard index stays valid for discard no matter how the width
-// moves around it. Shrink never kills work: the dropped shard is marked
-// retiring, its worker finishes everything already queued there, and only
-// then parks. A later grow reuses the parked slot.
+// Pool is the bounded, sharded worker pool: a fixed set of workers, each
+// owning one shard — a mutex-and-condvar guarded queue of flights.
+// Flights are routed to shards by cache-key hash (shardOf), so a given
+// spec always queues behind the same worker and the shards need no
+// cross-worker stealing. Admission never blocks: a full shard rejects
+// immediately (backpressure) instead of queueing without bound. Unlike a
+// channel, the queue supports discard: a flight whose every subscriber
+// canceled while it waited is removed on the spot, releasing its
+// admission slot immediately instead of holding backpressure capacity
+// until a worker reaches and skips it.
 type Pool struct {
-	mu     sync.RWMutex // guards shards/active/closed; shard queues have their own locks
-	shards []*shardq    // grows only; indices are stable
-	active int          // shards[:active] accept new work
-	closed bool         // pool-wide drain: admission refused everywhere
-
-	depth int // per-shard queue capacity
-	exec  func(*flight)
-	wg    sync.WaitGroup
-	m     *Metrics
+	shards []*shardq
+	depth  int // per-shard queue capacity
+	exec   func(*flight)
+	wg     sync.WaitGroup
+	m      *Metrics
 }
 
 // shardq is one worker's queue.
 type shardq struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	items    []*flight
-	closed   bool // pool drain: worker exits once empty
-	retiring bool // autoscale shrink: no new work; worker parks once empty
-	live     bool // a worker goroutine currently owns this shard
+	mu     sync.Mutex
+	cond   *sync.Cond
+	items  []*flight
+	closed bool // drain: admission refused; the worker exits once empty
 }
 
 // newPool builds a pool of `workers` shards with `queueDepth` total queue
@@ -69,48 +56,36 @@ func newPool(workers, queueDepth int, exec func(*flight), m *Metrics) *Pool {
 	if depth < 1 {
 		depth = 1
 	}
-	p := &Pool{
-		shards: make([]*shardq, workers),
-		active: workers,
-		depth:  depth,
-		exec:   exec,
-		m:      m,
-	}
+	p := &Pool{shards: make([]*shardq, workers), depth: depth, exec: exec, m: m}
 	for i := range p.shards {
 		q := &shardq{}
 		q.cond = sync.NewCond(&q.mu)
 		p.shards[i] = q
+		m.QueueDepth(i).Set(0) // register the series before traffic
 	}
 	return p
 }
 
-// start launches one worker goroutine per active shard.
+// start launches one worker goroutine per shard.
 func (p *Pool) start() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := 0; i < p.active; i++ {
-		q := p.shards[i]
-		q.mu.Lock()
-		q.live = true
-		q.mu.Unlock()
-		p.wg.Add(1)
+	p.wg.Add(len(p.shards))
+	for i, q := range p.shards {
 		go p.work(i, q)
 	}
 }
 
 // work is one shard's worker loop: pop the oldest flight, execute it,
-// repeat. It exits once the shard is closed (drain) or retiring (shrink)
-// and its queue is empty — queued work always finishes first, so neither
-// path ever drops a flight.
+// repeat. It exits once the shard is closed (drain) and its queue is
+// empty — queued work always finishes first, so drain never drops a
+// flight.
 func (p *Pool) work(idx int, q *shardq) {
 	defer p.wg.Done()
 	for {
 		q.mu.Lock()
-		for len(q.items) == 0 && !q.closed && !q.retiring {
+		for len(q.items) == 0 && !q.closed {
 			q.cond.Wait()
 		}
 		if len(q.items) == 0 {
-			q.live = false
 			q.mu.Unlock()
 			return
 		}
@@ -124,43 +99,25 @@ func (p *Pool) work(idx int, q *shardq) {
 	}
 }
 
-// submit routes a flight to a shard in the active width, stamping
-// fl.shard with the index it queued on. It never blocks. A shrink that
-// lands between reading the width and locking the shard is detected (the
-// shard is retiring) and the flight re-routes against the new width;
-// active shards are never retiring, so the loop terminates.
+// submit routes a flight to its shard, stamping fl.shard with the index it
+// queued on. It never blocks.
 func (p *Pool) submit(fl *flight) error {
-	for {
-		p.mu.RLock()
-		if p.closed {
-			p.mu.RUnlock()
-			return ErrDraining
-		}
-		idx := shardOf(fl.key, p.active)
-		q := p.shards[idx]
-		p.mu.RUnlock()
-
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return ErrDraining
-		}
-		if q.retiring {
-			q.mu.Unlock()
-			continue // width shrank under us; re-route
-		}
-		if len(q.items) >= p.depth {
-			q.mu.Unlock()
-			p.m.QueueRejected.Inc()
-			return ErrSaturated
-		}
-		fl.shard = idx
-		q.items = append(q.items, fl)
-		p.m.QueueDepth(idx).Add(1)
-		q.cond.Signal()
-		q.mu.Unlock()
-		return nil
+	idx := shardOf(fl.key, len(p.shards))
+	q := p.shards[idx]
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrDraining
 	}
+	if len(q.items) >= p.depth {
+		p.m.QueueRejected.Inc()
+		return ErrSaturated
+	}
+	fl.shard = idx
+	q.items = append(q.items, fl)
+	p.m.QueueDepth(idx).Add(1)
+	q.cond.Signal()
+	return nil
 }
 
 // discard removes a still-queued flight from its shard, releasing the
@@ -168,9 +125,7 @@ func (p *Pool) submit(fl *flight) error {
 // whether the flight was found; false means a worker already popped it,
 // in which case the worker's begin() check skips the aborted flight.
 func (p *Pool) discard(fl *flight) bool {
-	p.mu.RLock()
 	q := p.shards[fl.shard]
-	p.mu.RUnlock()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for i, f := range q.items {
@@ -183,101 +138,16 @@ func (p *Pool) discard(fl *flight) bool {
 	return false
 }
 
-// grow widens the pool by one shard: either un-retire the parked slot
-// just past the active width (restarting its worker if it already
-// exited), or append a brand-new shard. It reports whether the pool grew
-// (false only while draining).
-func (p *Pool) grow() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
-	if p.active < len(p.shards) {
-		q := p.shards[p.active]
-		q.mu.Lock()
-		q.retiring = false
-		if !q.live {
-			q.live = true
-			p.wg.Add(1)
-			go p.work(p.active, q)
-		}
-		q.mu.Unlock()
-	} else {
-		q := &shardq{live: true}
-		q.cond = sync.NewCond(&q.mu)
-		p.shards = append(p.shards, q)
-		p.m.QueueDepth(len(p.shards) - 1).Set(0)
-		p.wg.Add(1)
-		go p.work(len(p.shards)-1, q)
-	}
-	p.active++
-	return true
-}
+// workers reports the pool width.
+func (p *Pool) workers() int { return len(p.shards) }
 
-// shrink narrows the pool by one shard. The dropped shard is marked
-// retiring: it accepts no new flights, but its worker drains everything
-// already queued before parking — shrink never kills in-flight work. It
-// reports whether the width moved (false at width 1 or while draining).
-func (p *Pool) shrink() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || p.active <= 1 {
-		return false
-	}
-	p.active--
-	q := p.shards[p.active]
-	q.mu.Lock()
-	q.retiring = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-	return true
-}
+// queueCapacity reports the queue slots across all shards.
+func (p *Pool) queueCapacity() int { return p.depth * len(p.shards) }
 
-// retiring counts shards beyond the active width still winding down —
-// queued flights not yet drained, or a worker still executing its last
-// pop. The autoscaler refuses further shrinks while this is non-zero, so
-// at most one shard retires at a time.
-func (p *Pool) retiring() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	n := 0
-	for i := p.active; i < len(p.shards); i++ {
-		q := p.shards[i]
-		q.mu.Lock()
-		if q.live || len(q.items) > 0 {
-			n++
-		}
-		q.mu.Unlock()
-	}
-	return n
-}
-
-// workers reports the active pool width — the shards currently accepting
-// work. Retry-After pacing and the health view use this, so a mid-shrink
-// pool is not credited with capacity it no longer admits to.
-func (p *Pool) workers() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.active
-}
-
-// queueCapacity reports the queue slots across the active shards.
-func (p *Pool) queueCapacity() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.depth * p.active
-}
-
-// queued reports the flights currently waiting across all shards,
-// retiring ones included — their backlog is still real work ahead of any
-// new submission.
+// queued reports the flights currently waiting across all shards.
 func (p *Pool) queued() int {
-	p.mu.RLock()
-	shards := p.shards
-	p.mu.RUnlock()
 	n := 0
-	for _, q := range shards {
+	for _, q := range p.shards {
 		q.mu.Lock()
 		n += len(q.items)
 		q.mu.Unlock()
@@ -289,11 +159,7 @@ func (p *Pool) queued() int {
 // running flight to finish — no in-flight job is dropped. It fails only if
 // ctx expires first.
 func (p *Pool) drain(ctx context.Context) error {
-	p.mu.Lock()
-	p.closed = true
-	shards := p.shards
-	p.mu.Unlock()
-	for _, q := range shards {
+	for _, q := range p.shards {
 		q.mu.Lock()
 		q.closed = true
 		q.cond.Broadcast()

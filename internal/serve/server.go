@@ -21,17 +21,12 @@ type Config struct {
 	// one worker per job: the pool's width, not intra-job fan-out, is the
 	// service's parallelism control.
 	Experiments experiments.Config
-	// Workers is the worker-pool width (default 1 — one shard per worker).
-	// With Autoscale set it is only the initial width, clamped into
-	// [Min, Max].
+	// Workers is the fixed worker-pool width (default 1), one queue shard
+	// per worker.
 	Workers int
-	// Autoscale, when non-nil, makes the pool elastic: a background
-	// evaluator grows and shrinks the width between Autoscale.Min and
-	// Autoscale.Max from queue-depth and admission-latency signals (see
-	// autoscale.go and DESIGN.md §15). Nil keeps today's fixed pool.
-	Autoscale *AutoscaleConfig
 	// QueueDepth is the total queued-flight bound across shards (default
-	// 2x workers). A full shard rejects with 429.
+	// 2x workers, at least one slot per shard). A full shard rejects with
+	// 429.
 	QueueDepth int
 	// CacheSize bounds the LRU result cache (default 128 results).
 	CacheSize int
@@ -74,11 +69,9 @@ type Server struct {
 	pool     *Pool
 	snaps    *snapStore
 	mux      *http.ServeMux
-	scaler   *autoscaler // nil unless cfg.Autoscale is set
 	draining atomic.Bool
 	inflight atomic.Int64  // flights currently executing on a worker
 	ewmaBits atomic.Uint64 // EWMA of execution seconds, for Retry-After
-	waitBits atomic.Uint64 // EWMA of queue-wait seconds, for the autoscaler
 }
 
 // New validates the configuration, starts the worker pool, and returns a
@@ -104,33 +97,12 @@ func New(cfg Config) (*Server, error) {
 			return runSpec(ecfg, s)
 		}
 	}
-	if cfg.Autoscale != nil {
-		ac := cfg.Autoscale.withDefaults()
-		if err := ac.Validate(); err != nil {
-			return nil, err
-		}
-		cfg.Autoscale = &ac
-		cfg.Workers = ac.clampWidth(cfg.Workers)
-		if cfg.QueueDepth <= 0 {
-			// Size the per-shard depth for the widest pool the autoscaler
-			// may reach, so elasticity adds queue room, not just workers.
-			cfg.QueueDepth = 2 * ac.Max
-		}
-	}
 	s := &Server{cfg: cfg, m: NewMetrics(cfg.Obs)}
 	s.store = newStore(cfg.StoreSize, s.m)
 	s.cache = newCache(cfg.CacheSize, s.m)
 	s.snaps = newSnapStore(cfg.SnapshotSize, s.m)
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.execFlight, s.m)
-	for shard := 0; shard < s.pool.workers(); shard++ {
-		s.m.QueueDepth(shard).Set(0) // register the series before traffic
-	}
 	s.pool.start()
-	if cfg.Autoscale != nil {
-		s.m.AutoscaleWorkers.Set(int64(s.pool.workers()))
-		s.scaler = newAutoscaler(s, *cfg.Autoscale)
-		go s.scaler.run()
-	}
 	s.routes()
 	return s, nil
 }
@@ -143,9 +115,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // expires.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.scaler != nil {
-		s.scaler.halt()
-	}
 	return s.pool.drain(ctx)
 }
 
@@ -458,11 +427,6 @@ type HealthView struct {
 	Jobs          int    `json:"jobs"`
 	CacheEntries  int    `json:"cache_entries"`
 	Snapshots     int    `json:"snapshots"`
-	// Autoscale bounds, present only when the pool is elastic; Workers is
-	// then the current width between them.
-	Autoscale  bool `json:"autoscale,omitempty"`
-	MinWorkers int  `json:"min_workers,omitempty"`
-	MaxWorkers int  `json:"max_workers,omitempty"`
 }
 
 // Health reports liveness and the coarse pressure numbers a load
@@ -472,7 +436,7 @@ func (s *Server) Health() HealthView {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	h := HealthView{
+	return HealthView{
 		Status:        status,
 		Workers:       s.pool.workers(),
 		QueueCapacity: s.pool.queueCapacity(),
@@ -481,12 +445,6 @@ func (s *Server) Health() HealthView {
 		CacheEntries:  s.cache.size(),
 		Snapshots:     s.snaps.size(),
 	}
-	if s.cfg.Autoscale != nil {
-		h.Autoscale = true
-		h.MinWorkers = s.cfg.Autoscale.Min
-		h.MaxWorkers = s.cfg.Autoscale.Max
-	}
-	return h
 }
 
 // handleHealth renders Health.
@@ -522,9 +480,6 @@ func (s *Server) execFlight(fl *flight) {
 	}
 	if !fl.begin(cancelCause, now) {
 		return // every subscriber canceled while queued; already forgotten
-	}
-	if !fl.created.IsZero() {
-		s.noteQueueWait(now.Sub(fl.created).Seconds())
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -610,44 +565,16 @@ func (s *Server) execFlight(fl *flight) {
 }
 
 // noteJobSeconds folds one execution time into the EWMA behind
-// Retry-After.
+// Retry-After (alpha 0.2; the first sample seeds the average).
 func (s *Server) noteJobSeconds(secs float64) {
-	noteEwma(&s.ewmaBits, secs)
-}
-
-// noteQueueWait folds one admission-to-execution wait into the EWMA the
-// autoscaler reads as its latency signal. The autoscaler also folds in
-// zero samples on empty-queue ticks so the signal decays when no flight
-// is waiting.
-func (s *Server) noteQueueWait(secs float64) {
-	noteEwma(&s.waitBits, secs)
-}
-
-// queueWaitSeconds reads the queue-wait EWMA (0 before any sample).
-func (s *Server) queueWaitSeconds() float64 {
-	bits := s.waitBits.Load()
-	if bits == 0 {
-		return 0
-	}
-	v := math.Float64frombits(bits)
-	if math.IsNaN(v) || v < 0 {
-		return 0
-	}
-	return v
-}
-
-// noteEwma folds one sample into a float64 EWMA stored in an atomic word
-// (alpha 0.2; the first sample seeds the average).
-func noteEwma(bits *atomic.Uint64, sample float64) {
 	const alpha = 0.2
 	for {
-		old := bits.Load()
-		prev := math.Float64frombits(old)
-		next := sample
+		old := s.ewmaBits.Load()
+		next := secs
 		if old != 0 {
-			next = (1-alpha)*prev + alpha*sample
+			next = (1-alpha)*math.Float64frombits(old) + alpha*secs
 		}
-		if bits.CompareAndSwap(old, math.Float64bits(next)) {
+		if s.ewmaBits.CompareAndSwap(old, math.Float64bits(next)) {
 			return
 		}
 	}
@@ -658,9 +585,7 @@ func noteEwma(bits *atomic.Uint64, sample float64) {
 // execution time, clamped to [1, 120] seconds. Before the EWMA has any
 // samples (cold start — nothing has finished yet) the estimate is
 // explicitly floored at 1s: a 429 storm on a freshly booted server must
-// never tell every client "retry now". Under autoscaling the divisor is
-// the pool's *active* width — a mid-shrink pool no longer admits to the
-// retiring shard, so crediting it would underestimate the wait.
+// never tell every client "retry now".
 func (s *Server) RetryAfterSeconds() int {
 	bits := s.ewmaBits.Load()
 	if bits == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -275,15 +276,14 @@ func TestSaturationReturns429(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Runner: r.run})
 
 	// Health reports the bound the pool enforces, not the configured one:
-	// at least one slot per shard, and under autoscaling a width clamped
-	// into [Min, Max] with a default queue sized for the widest pool.
+	// at least one slot per shard, and 2x workers by default.
 	for _, c := range []struct {
 		name          string
 		cfg           Config
 		workers, slot int
 	}{
 		{"one slot per shard", Config{Workers: 6, QueueDepth: 4}, 6, 6},
-		{"autoscale defaults", Config{Workers: 6, Autoscale: &AutoscaleConfig{}}, 4, 8},
+		{"default depth", Config{Workers: 3}, 3, 6},
 	} {
 		other, _ := newTestServer(t, c.cfg)
 		if h := other.Health(); h.Workers != c.workers || h.QueueCapacity != c.slot {
@@ -322,6 +322,48 @@ func TestSaturationReturns429(t *testing.T) {
 	for _, id := range []string{a.ID, b.ID, join.ID} {
 		if v := pollTerminal(t, ts, id); v.State != "done" {
 			t.Errorf("job %s ended %s after release", id, v.State)
+		}
+	}
+}
+
+// TestShardedAdmission: each spec queues on the shard its key hashes to,
+// with no stealing. With two workers and two queue slots (one per shard),
+// a second spec on the first one's shard waits behind it while the other
+// worker idles, and a third is rejected with 429 although the idle shard
+// has room. Seeds 1, 3 and 4 are the first three fig1 seeds whose keys
+// shardOf sends to shard 1 of 2, found by evaluating
+// shardOf(Spec{Exhibit: "fig1", Seed: i}.Key(), 2) for i = 1, 2, 3, ...
+func TestShardedAdmission(t *testing.T) {
+	r := newBlockingRunner(false)
+	defer r.unblock()
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 2, Runner: r.run})
+
+	specs := []Spec{{Exhibit: "fig1", Seed: 1}, {Exhibit: "fig1", Seed: 3}, {Exhibit: "fig1", Seed: 4}}
+	for _, s := range specs {
+		if got := shardOf(s.Key(), 2); got != 1 {
+			t.Fatalf("seed %d hashes to shard %d, want 1", s.Seed, got)
+		}
+	}
+	a, err := srv.Submit(specs[0])
+	if err != nil {
+		t.Fatalf("submit A: %v", err)
+	}
+	r.waitStart(t) // A occupies shard 1's worker
+	b, err := srv.Submit(specs[1])
+	if err != nil {
+		t.Fatalf("submit B: %v", err)
+	}
+	if h := srv.Health(); h.Queued != 1 || srv.Inflight() != 1 {
+		t.Fatalf("queued %d, inflight %d; want B waiting behind A (1, 1)", h.Queued, srv.Inflight())
+	}
+	if _, err := srv.Submit(specs[2]); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("submit C onto the full shard: got %v, want ErrSaturated", err)
+	}
+
+	r.unblock()
+	for _, id := range []string{a.ID, b.ID} {
+		if v := pollTerminal(t, ts, id); v.State != "done" {
+			t.Errorf("job %s ended %s", id, v.State)
 		}
 	}
 }

@@ -14,8 +14,8 @@
 //   - Cache: an LRU of finished results with single-flight admission —
 //     identical concurrent specs run once and every submitter shares the
 //     result.
-//   - Pool: the sharded worker pool with bounded, discardable queues,
-//     per-job timeouts, and graceful drain.
+//   - Pool: the fixed, sharded worker pool with bounded, discardable
+//     queues, per-job timeouts, and graceful drain.
 //   - snapStore: the checkpoint tier (DESIGN.md §10, introduced in PR 5).
 //     Grid exhibits report per-cell completion through
 //     experiments.Progress; interrupted executions leave a snapshot, and

@@ -25,13 +25,11 @@
 #   6. go vet and the tests of the perfbench module, which root ./...
 #      does not see: a serve/load API change that breaks the benchmark's
 #      build fails here
-#   7. three live end-to-end passes (set SOAK_REQUESTS=0 to skip all):
-#      exaserve -chaos vs the retrying exasoak client
-#      (scripts/chaos_soak.sh), the exaload workload smoke — trace
-#      gen/replay, open-loop run, and a small live saturation sweep
-#      (scripts/load_smoke.sh), and the autoscaler elasticity soak — a
-#      diurnal exaload day against an elastic pool that must grow, shrink
-#      back, and lose no jobs (scripts/autoscale_soak.sh)
+#   7. two live end-to-end passes against a 2-worker exaserve (set
+#      SOAK_REQUESTS=0 to skip both): exaserve -chaos vs the retrying
+#      exasoak client (scripts/chaos_soak.sh), and the exaload workload
+#      smoke — trace gen/replay, open-loop run, and a small live
+#      saturation sweep that must fail no jobs (scripts/load_smoke.sh)
 #   8. opt-in: with BENCH_BASELINE=path/to/BENCH_results.json set, rerun
 #      the exhibit benchmarks and fail on any >10% time or allocation
 #      regression against that report (cmd/exabench -baseline)
@@ -92,8 +90,6 @@ if [ "${SOAK_REQUESTS:-8}" != "0" ]; then
   SOAK_CLIENTS="${SOAK_CLIENTS:-3}" SOAK_REQUESTS="${SOAK_REQUESTS:-8}" scripts/chaos_soak.sh
   echo "== load smoke"
   scripts/load_smoke.sh
-  echo "== autoscale soak"
-  scripts/autoscale_soak.sh
 fi
 
 if [ -n "${BENCH_BASELINE:-}" ]; then

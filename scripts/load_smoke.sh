@@ -6,9 +6,11 @@
 # surface: generate a bursty trace, replay it against the server while
 # re-recording the outcomes, run a short open-loop stream from a profile,
 # and finish with a small live saturation sweep whose report must parse
-# and whose final step must actually stress the server. Separately checks
-# that the deterministic in-process sweep is byte-identical across two
-# runs — the property the golden loadsweep exhibit pins.
+# and whose final step must actually stress the server. After the sweep,
+# /metrics must show no failed job and at least one done job: saturation
+# may reject work with 429 but must never fail admitted work. Separately
+# checks that the deterministic in-process sweep is byte-identical across
+# two runs — the property the golden loadsweep exhibit pins.
 #
 # Tunables (environment):
 #   LOAD_RATE   live-sweep top rate in req/s  (default 30)
@@ -80,6 +82,14 @@ HEADER=$(head -n 1 "$CSV")
 echo "$HEADER" | grep -q "rate_rps" || { echo "report CSV missing its header: ${HEADER}"; exit 1; }
 DATA=$(( $(wc -l < "$CSV") - 1 ))
 [ "$DATA" -eq 3 ] || { echo "report CSV has ${DATA} data rows, want 3"; exit 1; }
+
+echo "== metrics: saturation failed no admitted job"
+METRICS=$(curl -fsS "http://${ADDR}/metrics")
+FAILED=$(echo "$METRICS" | awk '/^exaresil_serve_jobs_total\{state="failed"\}/ {v=$NF} END {print v+0}')
+DONE=$(echo "$METRICS" | awk '/^exaresil_serve_jobs_total\{state="done"\}/ {v=$NF} END {print v+0}')
+echo "   ${DONE} done, ${FAILED} failed"
+[ "$FAILED" -eq 0 ] || { echo "${FAILED} jobs failed under the saturating sweep"; exit 1; }
+[ "$DONE" -ge 1 ] || { echo "no jobs completed at all"; exit 1; }
 
 echo "== clean shutdown"
 kill -TERM "$SERVER_PID"
