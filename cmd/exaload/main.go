@@ -198,7 +198,7 @@ type httpFlags struct {
 
 func addHTTPFlags(fs *flag.FlagSet) httpFlags {
 	return httpFlags{
-		addr:  fs.String("addr", "http://127.0.0.1:8080", "exaserve base URL (comma-separated endpoints fail over)"),
+		addr:  fs.String("addr", "http://127.0.0.1:8080", "exaserve base URL"),
 		speed: fs.Float64("speed", 1, "time compression: 2 replays offsets twice as fast"),
 	}
 }

@@ -258,17 +258,14 @@ func (t *Inproc) Drain(ctx context.Context) error {
 }
 
 // Counters reads the embedded server's obs registry — the same families
-// GET /metrics would expose.
+// GET /metrics would expose — through serve's own metric handles.
 func (t *Inproc) Counters() (Counters, error) {
-	hits := t.reg.Counter("exaresil_serve_cache_requests_total", "result cache outcomes at submit", obs.L("outcome", "hit"))
-	joined := t.reg.Counter("exaresil_serve_cache_requests_total", "result cache outcomes at submit", obs.L("outcome", "joined"))
-	misses := t.reg.Counter("exaresil_serve_cache_requests_total", "result cache outcomes at submit", obs.L("outcome", "miss"))
-	rej := t.reg.Counter("exaresil_serve_queue_rejections_total", "submissions rejected with 429 because the target shard queue was full")
+	m := serve.NewMetrics(t.reg)
 	return Counters{
-		CacheHits:   hits.Value(),
-		CacheJoined: joined.Value(),
-		CacheMisses: misses.Value(),
-		Rejected:    rej.Value(),
+		CacheHits:   m.CacheHits.Value(),
+		CacheJoined: m.CacheJoined.Value(),
+		CacheMisses: m.CacheMisses.Value(),
+		Rejected:    m.QueueRejected.Value(),
 	}, nil
 }
 

@@ -1,11 +1,11 @@
 package serve
 
 // The serving-layer bug sweep: regression tests for Retry-After cold
-// start, the single-flight join-after-abort race, and cancel-vs-drain
-// storms.
+// start and for cancel-vs-join-vs-drain storms.
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,98 +45,27 @@ func TestRetryAfterTracksActiveWidth(t *testing.T) {
 	}
 }
 
-// TestDeadFlightReplacedOnAcquire: the join-after-abort race. A flight
-// whose last subscriber canceled (detach → aborted) but whose cancel
-// path has not yet swept the cache must not be joinable — attach refuses
-// it and acquire evicts it in favor of a fresh flight. Before the fix a
-// submission landing in that window joined the corpse and hung forever.
-func TestDeadFlightReplacedOnAcquire(t *testing.T) {
-	now := time.Now()
-	c := newCache(8, NewMetrics(nil))
-	spec := Spec{Exhibit: "fig1", Trials: 3}
-
-	_, fl1, created, err := c.acquire(spec, admitAll)
-	if err != nil || !created {
-		t.Fatalf("first acquire: created=%v err=%v", created, err)
-	}
-	fl1.attach(&Job{state: StateQueued}, now)
-	if got := fl1.detach(); got != detachAborted {
-		t.Fatalf("detach = %v, want detachAborted", got)
-	}
-
-	// The cancel path's forget/discard have NOT run yet: this is the race
-	// window. Joining must be refused…
-	if got := fl1.attach(&Job{state: StateQueued}, now); got != attachDead {
-		t.Fatalf("attach to aborted queued flight = %v, want attachDead", got)
-	}
-	// …and acquire must evict the corpse and lead a fresh flight.
-	_, fl2, created2, err := c.acquire(spec, admitAll)
-	if err != nil || !created2 {
-		t.Fatalf("acquire over dead flight: created=%v err=%v, want fresh flight", created2, err)
-	}
-	if fl2 == fl1 {
-		t.Fatal("acquire joined the dead flight")
-	}
-	// The cancel path's late forget of the corpse must not evict the
-	// replacement.
-	c.forget(fl1)
-	if c.size() != 1 {
-		t.Fatalf("late forget removed the replacement: cache size %d, want 1", c.size())
-	}
-}
-
-// TestSubmitSurvivesCancelRace: server-level version of the same race.
-// Submit must detect the stillborn attach, discard the job, and retry
-// with a fresh flight that completes normally.
-func TestSubmitSurvivesCancelRace(t *testing.T) {
-	br := newBlockingRunner(false)
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: br.run})
-
-	vA, err := srv.Submit(Spec{Exhibit: "fig1", Trials: 1})
-	if err != nil {
-		t.Fatalf("submit A: %v", err)
-	}
-	br.waitStart(t) // A occupies the only worker
-	specB := Spec{Exhibit: "fig1", Trials: 2}
-	vB, err := srv.Submit(specB)
-	if err != nil {
-		t.Fatalf("submit B: %v", err)
-	}
-
-	// Freeze the cancel mid-window: terminal job + detached flight, but
-	// no forget/discard yet — exactly the interleaving handleCancel can
-	// be preempted in.
-	jB, ok := srv.store.get(vB.ID)
-	if !ok {
-		t.Fatalf("job %s missing", vB.ID)
-	}
-	jB.finish(StateCanceled, nil, "canceled by client", time.Now())
-	if got := jB.flight.detach(); got != detachAborted {
-		t.Fatalf("detach = %v, want detachAborted", got)
-	}
-
-	vB2, err := srv.Submit(specB)
-	if err != nil {
-		t.Fatalf("submit into the race window: %v", err)
-	}
-	if vB2.Cache != CacheMiss {
-		t.Fatalf("resubmission cache status %q, want %q (fresh flight, not the corpse)", vB2.Cache, CacheMiss)
-	}
-
-	br.unblock()
-	if done := pollTerminal(t, ts, vB2.ID); done.State != "done" {
-		t.Fatalf("resubmitted job ended %s: %s", done.State, done.Error)
-	}
-	if done := pollTerminal(t, ts, vA.ID); done.State != "done" {
-		t.Fatalf("job A ended %s: %s", done.State, done.Error)
-	}
-}
-
 // TestPoolCancelDrainStress: submit/cancel storms racing Drain must
 // leave no queued flights, no non-terminal jobs, and no wedged workers.
-// Run under -race this doubles as the pool's concurrency audit.
+// With one spec whose runs fail (errors are never cached), every
+// submission leads or joins a flight on the same key, so joins race the
+// last cancel of each flight. Run under -race this doubles as the audit
+// of the join/abandon protocol.
 func TestPoolCancelDrainStress(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		specs int
+		fail  bool
+	}{{"64 specs", 64, false}, {"1 spec", 1, true}} {
+		t.Run(tc.name, func(t *testing.T) { cancelDrainStorm(t, tc.specs, tc.fail) })
+	}
+}
+
+func cancelDrainStorm(t *testing.T, specs int, fail bool) {
 	fast := func(_ context.Context, _ experiments.Config, s Spec) (*Result, error) {
+		if fail {
+			return nil, errors.New("uncacheable")
+		}
 		return &Result{CSV: []byte(s.Canonical() + "\n"), Text: s.Canonical(), Digest: s.Key()}, nil
 	}
 	srv, _ := newTestServer(t, Config{Workers: 4, QueueDepth: 8, StoreSize: 8192, Runner: fast})
@@ -150,7 +79,7 @@ func TestPoolCancelDrainStress(t *testing.T) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perG; i++ {
-				v, err := srv.Submit(Spec{Exhibit: "fig1", Trials: rnd.Intn(64) + 1})
+				v, err := srv.Submit(Spec{Exhibit: "fig1", Trials: rnd.Intn(specs) + 1})
 				if err != nil {
 					continue // ErrSaturated/ErrDraining are expected under the storm
 				}

@@ -22,57 +22,21 @@ type flight struct {
 	running  bool
 	finished bool
 	stop     context.CancelCauseFunc // cancels the execution context, set when running
-	res      *Result
-	err      error
 }
 
-// attachResult is the outcome of subscribing a job to a flight.
-type attachResult int
-
-const (
-	// attachJoined: the job now shares the flight's eventual outcome.
-	attachJoined attachResult = iota
-	// attachSettled: the flight already finished (the execution outran the
-	// submitter); the caller finalizes the job from the flight's outcome.
-	attachSettled
-	// attachDead: every earlier subscriber canceled and the flight was
-	// aborted before this job could join. A dead flight never settles, so
-	// joining it would leave the job queued forever — the caller must
-	// retry with a fresh flight instead.
-	attachDead
-)
-
-// attach subscribes a job to the flight.
-func (f *flight) attach(j *Job, now time.Time) attachResult {
+// attach subscribes a job to the flight. It runs under the cache lock that
+// found or created the flight, so the flight is live and unfinished: settle
+// runs only after the key is completed or forgotten, and abandon forgets an
+// aborted or stopped flight in the same critical section that detaches its
+// last job. A job joining a running flight starts running at submission.
+func (f *flight) attach(j *Job) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.finished {
-		return attachSettled
-	}
-	if f.aborted && !f.running {
-		return attachDead
-	}
 	f.jobs = append(f.jobs, j)
 	f.live++
 	if f.running {
-		j.markRunning(now)
+		j.markRunning(j.submitted)
 	}
-	return attachJoined
-}
-
-// dead reports whether the flight was aborted before running — a corpse
-// no worker will execute and no settle will ever finalize.
-func (f *flight) dead() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.aborted && !f.running
-}
-
-// outcome reads the finished flight's result.
-func (f *flight) outcome() (*Result, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.res, f.err
 }
 
 // detach removes one canceled job from the flight's live count. It reports
@@ -126,20 +90,14 @@ func (f *flight) begin(stop context.CancelCauseFunc, now time.Time) bool {
 	return true
 }
 
-// settle records the flight's outcome and finalizes every attached job.
-// It returns the jobs that actually transitioned (already-canceled jobs
-// keep their state). The first settle wins: a later one must not
-// overwrite the recorded outcome that attach-settled submitters read.
-func (f *flight) settle(state State, res *Result, err error, errMsg string, now time.Time) int {
+// settle finalizes every attached job with the flight's outcome and
+// returns how many actually transitioned (already-canceled jobs keep their
+// state). Every execFlight path settles once, after completing or
+// forgetting the key, so no job can attach after settle.
+func (f *flight) settle(state State, res *Result, errMsg string, now time.Time) int {
 	f.mu.Lock()
-	if f.finished {
-		f.mu.Unlock()
-		return 0
-	}
 	jobs := f.jobs
 	f.finished = true
-	f.res = res
-	f.err = err
 	f.mu.Unlock()
 	n := 0
 	for _, j := range jobs {
@@ -154,7 +112,9 @@ func (f *flight) settle(state State, res *Result, err error, errMsg string, now 
 // A key resolves to either a finished Result (hit) or a live flight
 // (join); absent keys insert a new flight under the same lock that chooses
 // to admit it, so two identical concurrent submissions can never both
-// become leaders.
+// become leaders. Joining a flight (acquire) and abandoning it (abandon)
+// share this lock, so a submission can never join a flight whose last
+// subscriber has just left it. Lock order: cache → store or flight → job.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int
@@ -180,47 +140,56 @@ func newCache(cap int, m *Metrics) *Cache {
 	return &Cache{cap: cap, ll: list.New(), byKey: make(map[string]*list.Element), m: m}
 }
 
-// acquire resolves a spec to a cached result, an existing flight to join,
-// or a freshly created flight this caller leads. Creation and admission
-// are atomic: admit runs under the cache lock (it must not block — the
-// pool's submit rejects rather than waits) and a rejected flight is
-// never inserted, so no other submitter can have joined it. The admit
-// callback routes the flight to its shard.
-func (c *Cache) acquire(spec Spec, admit func(*flight) error) (res *Result, fl *flight, created bool, err error) {
+// acquire mints a job for the spec through mint, called under the cache
+// lock with its cache status and flight: a hit (no flight; the cached
+// result is returned for the caller to finish the job with), a join of an
+// existing flight, or a miss that leads a freshly created flight. Joins
+// and misses are attached to their flight before the lock is released.
+// Creation and admission are atomic: admit runs under the cache lock (it
+// must not block — the pool's submit rejects rather than waits) and a
+// rejected flight is neither inserted nor minted a job, so a 429 leaves
+// no trace. The admit callback routes the flight to its shard.
+func (c *Cache) acquire(spec Spec, admit func(*flight) error, mint func(cache string, fl *flight) *Job) (*Job, *Result, error) {
 	key := spec.Key()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if elem, ok := c.byKey[key]; ok {
+		c.ll.MoveToFront(elem)
 		e := elem.Value.(*cacheEntry)
-		switch {
-		case e.res != nil:
-			c.ll.MoveToFront(elem)
+		if e.res != nil {
 			c.m.CacheHits.Inc()
-			return e.res, nil, false, nil
-		case e.fl.dead():
-			// Every subscriber canceled while the flight was still queued
-			// and its cancel path has not swept the key yet. Joining the
-			// corpse would hang the new job forever; evict it and lead a
-			// fresh flight instead. The stale flight's pending discard and
-			// forget are keyed to the flight pointer, so they cannot touch
-			// the replacement.
-			c.ll.Remove(elem)
-			delete(c.byKey, key)
-		default:
-			c.ll.MoveToFront(elem)
-			c.m.CacheJoined.Inc()
-			return nil, e.fl, false, nil
+			return mint(CacheHit, nil), e.res, nil
 		}
+		c.m.CacheJoined.Inc()
+		j := mint(CacheJoined, e.fl)
+		e.fl.attach(j)
+		return j, nil, nil
 	}
-	fl = &flight{key: key, spec: spec}
+	fl := &flight{key: key, spec: spec}
 	if err := admit(fl); err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	c.m.CacheMisses.Inc()
 	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, fl: fl})
 	c.evictLocked()
 	c.m.CacheSize.Set(int64(c.ll.Len()))
-	return nil, fl, true, nil
+	j := mint(CacheMiss, fl)
+	fl.attach(j)
+	return j, nil, nil
+}
+
+// abandon detaches one canceled job from its flight. When that job was the
+// flight's last live subscriber, the key is forgotten in the same critical
+// section, so no later acquire can join the aborted or stopped flight. On
+// detachAborted the caller still owes the pool a discard.
+func (c *Cache) abandon(fl *flight) detachAction {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	act := fl.detach()
+	if act == detachAborted || act == detachStopped {
+		c.forgetLocked(fl)
+	}
+	return act
 }
 
 // complete replaces the flight with its finished result, making the key a
@@ -241,6 +210,10 @@ func (c *Cache) complete(fl *flight, res *Result) {
 func (c *Cache) forget(fl *flight) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.forgetLocked(fl)
+}
+
+func (c *Cache) forgetLocked(fl *flight) {
 	if elem, ok := c.byKey[fl.key]; ok {
 		if e := elem.Value.(*cacheEntry); e.fl == fl {
 			c.ll.Remove(elem)

@@ -140,57 +140,19 @@ func (e *StateConflictError) Error() string {
 // a fresh flight is queued. Errors: ErrDraining, ErrSaturated (pair with
 // RetryAfterSeconds), or a spec validation error from the admission path.
 func (s *Server) Submit(spec Spec) (JobView, error) {
-	// The retry loop covers one narrow race: acquire can join a flight
-	// whose last subscriber cancels before attach. Such a corpse will
-	// never settle, so the stillborn job is discarded and the submission
-	// retried — the dead entry is evicted (here and in acquire), so the
-	// next pass leads a fresh flight. The bound is defensive; one retry
-	// suffices unless cancels keep winning the race.
-	for attempt := 0; ; attempt++ {
-		now := time.Now()
-		res, fl, created, err := s.cache.acquire(spec, s.pool.submit)
-		if err != nil {
-			return JobView{}, err
-		}
-
-		if res != nil { // cache hit: the job is born done
-			j := s.store.newJob(spec, CacheHit, nil, now)
-			j.finish(StateDone, res, "", now)
-			s.m.Submitted.Inc()
-			s.m.JobsDone.Inc()
-			return j.View(), nil
-		}
-
-		cacheStatus := CacheJoined
-		if created {
-			cacheStatus = CacheMiss
-		}
-		j := s.store.newJob(spec, cacheStatus, fl, now)
-		switch fl.attach(j, now) {
-		case attachJoined:
-			s.m.Submitted.Inc()
-			return j.View(), nil
-		case attachSettled:
-			// The flight finished between acquire and attach: settle from
-			// its outcome directly.
-			fres, ferr := fl.outcome()
-			if ferr != nil {
-				j.finish(StateFailed, nil, ferr.Error(), now)
-				s.m.JobsFailed.Inc()
-			} else {
-				j.finish(StateDone, fres, "", now)
-				s.m.JobsDone.Inc()
-			}
-			s.m.Submitted.Inc()
-			return j.View(), nil
-		case attachDead:
-			s.store.remove(j.ID())
-			s.cache.forget(fl)
-			if attempt >= 8 {
-				return JobView{}, fmt.Errorf("serve: submission kept racing cancellation for %s", spec.Key())
-			}
-		}
+	now := time.Now()
+	j, res, err := s.cache.acquire(spec, s.pool.submit, func(cache string, fl *flight) *Job {
+		return s.store.newJob(spec, cache, fl, now)
+	})
+	if err != nil {
+		return JobView{}, err
 	}
+	s.m.Submitted.Inc()
+	if res != nil { // cache hit: the job is born done
+		j.finish(StateDone, res, "", now)
+		s.m.JobsDone.Inc()
+	}
+	return j.View(), nil
 }
 
 // Job returns the job's current view.
@@ -204,9 +166,9 @@ func (s *Server) Job(id string) (JobView, bool) {
 
 // CancelJob terminates one job. When it was the last live subscriber of
 // its flight, the flight itself is aborted (dequeued or its context
-// canceled) and the cache entry removed. Errors: ErrNoSuchJob, or a
-// StateConflictError when the job already ended (its view is still
-// returned).
+// canceled) and its cache entry removed in the same critical section
+// (Cache.abandon). Errors: ErrNoSuchJob, or a StateConflictError when the
+// job already ended (its view is still returned).
 func (s *Server) CancelJob(id string) (JobView, error) {
 	j, ok := s.store.get(id)
 	if !ok {
@@ -216,17 +178,11 @@ func (s *Server) CancelJob(id string) (JobView, error) {
 		return j.View(), &StateConflictError{State: j.State()}
 	}
 	s.m.JobsCanceled.Inc()
-	if j.flight != nil {
-		switch j.flight.detach() {
-		case detachAborted:
-			s.cache.forget(j.flight)
-			// The flight never ran; pull it out of its shard queue so the
-			// admission slot frees immediately instead of when a worker
-			// reaches and skips it.
-			s.pool.discard(j.flight)
-		case detachStopped:
-			s.cache.forget(j.flight)
-		}
+	if j.flight != nil && s.cache.abandon(j.flight) == detachAborted {
+		// The flight never ran; pull it out of its shard queue so the
+		// admission slot frees immediately instead of when a worker
+		// reaches and skips it.
+		s.pool.discard(j.flight)
 	}
 	return j.View(), nil
 }
@@ -533,12 +489,12 @@ func (s *Server) execFlight(fl *flight) {
 		if o.err != nil {
 			s.cache.forget(fl)
 			s.snaps.settle(fl.key)
-			n := fl.settle(StateFailed, nil, o.err, "run: "+o.err.Error(), time.Now())
+			n := fl.settle(StateFailed, nil, "run: "+o.err.Error(), time.Now())
 			s.m.JobsFailed.Add(uint64(n))
 		} else {
 			s.cache.complete(fl, o.res)
 			s.snaps.drop(fl.key)
-			n := fl.settle(StateDone, o.res, nil, "", time.Now())
+			n := fl.settle(StateDone, o.res, "", time.Now())
 			s.m.JobsDone.Add(uint64(n))
 		}
 	case <-ctx.Done():
@@ -548,17 +504,17 @@ func (s *Server) execFlight(fl *flight) {
 		cause := context.Cause(ctx)
 		switch {
 		case errors.Is(cause, errCrash):
-			n := fl.settle(StateFailed, nil, cause,
+			n := fl.settle(StateFailed, nil,
 				"injected worker crash; resubmit to resume from the last snapshot", time.Now())
 			s.m.JobsFailed.Add(uint64(n))
 		case errors.Is(cause, context.DeadlineExceeded):
-			n := fl.settle(StateFailed, nil, cause,
+			n := fl.settle(StateFailed, nil,
 				fmt.Sprintf("job timeout after %s", s.cfg.JobTimeout), time.Now())
 			s.m.JobsFailed.Add(uint64(n))
 		default:
 			// Last subscriber canceled mid-run; its job is already
 			// terminal, so this usually transitions nothing.
-			n := fl.settle(StateCanceled, nil, cause, "canceled", time.Now())
+			n := fl.settle(StateCanceled, nil, "canceled", time.Now())
 			s.m.JobsCanceled.Add(uint64(n))
 		}
 	}

@@ -59,21 +59,22 @@ const (
 	CacheJoined = "joined"
 )
 
-// Job is one submitted spec's lifecycle record. All fields are guarded by
-// mu; handlers read through View snapshots.
+// Job is one submitted spec's lifecycle record. The fields above mu are
+// fixed at creation; the rest are guarded by mu, and handlers read through
+// View snapshots.
 type Job struct {
-	id     string
-	spec   Spec
-	cache  string  // CacheMiss, CacheHit, or CacheJoined
-	flight *flight // nil for cache-hit jobs
-
-	mu        sync.Mutex
-	state     State
+	id        string
+	spec      Spec
+	cache     string  // CacheMiss, CacheHit, or CacheJoined
+	flight    *flight // nil for cache-hit jobs
 	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	result    *Result
-	errMsg    string
+
+	mu       sync.Mutex
+	state    State
+	started  time.Time
+	finished time.Time
+	result   *Result
+	errMsg   string
 }
 
 // ID is the job's immutable identifier.
@@ -221,10 +222,7 @@ func (st *Store) evictLocked() {
 			kept = append(kept, st.order[i:]...)
 			break
 		}
-		j, ok := st.jobs[id]
-		if !ok {
-			continue
-		}
+		j := st.jobs[id]
 		j.mu.Lock()
 		terminal := j.state.Terminal()
 		j.mu.Unlock()
@@ -236,15 +234,6 @@ func (st *Store) evictLocked() {
 		}
 	}
 	st.order = kept
-}
-
-// remove unregisters a job. The submission path uses it to discard a
-// stillborn job whose flight died between cache lookup and attach; the
-// eviction scan drops the dangling order entry on its next pass.
-func (st *Store) remove(id string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	delete(st.jobs, id)
 }
 
 // get finds a job by id.

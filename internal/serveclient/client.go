@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"exaresil/internal/rng"
@@ -37,27 +36,21 @@ type Options struct {
 	Seed uint64
 }
 
-// Client talks to one or more exaserve endpoints with retries, backoff,
-// and result verification. Safe for concurrent use. With several
-// endpoints (comma-separated base), a transport error or 503 rotates to
-// the next endpoint before the retry — client-side failover across
-// independent exaserve processes.
+// Client talks to one exaserve endpoint with retries, backoff, and result
+// verification. Safe for concurrent use.
 type Client struct {
-	bases       []string
+	base        string
 	hc          *http.Client
 	bo          Backoff
 	maxAttempts int
 	poll        time.Duration
-
-	cur atomic.Uint64 // index into bases of the preferred endpoint
 
 	mu  sync.Mutex
 	rnd *rng.Source
 }
 
 // New builds a client for the server at base (e.g.
-// "http://127.0.0.1:8080"). base may list several endpoints separated by
-// commas; the client sticks to one until it stops answering.
+// "http://127.0.0.1:8080").
 func New(base string, opts Options) *Client {
 	if opts.HTTP == nil {
 		opts.HTTP = http.DefaultClient
@@ -72,39 +65,13 @@ func New(base string, opts Options) *Client {
 	if seed == 0 {
 		seed = 1
 	}
-	var bases []string
-	for _, b := range strings.Split(base, ",") {
-		if b = strings.TrimRight(strings.TrimSpace(b), "/"); b != "" {
-			bases = append(bases, b)
-		}
-	}
-	if len(bases) == 0 {
-		bases = []string{""}
-	}
 	return &Client{
-		bases:       bases,
+		base:        strings.TrimRight(base, "/"),
 		hc:          opts.HTTP,
 		bo:          opts.Backoff,
 		maxAttempts: opts.MaxAttempts,
 		poll:        opts.PollInterval,
 		rnd:         rng.New(seed),
-	}
-}
-
-// Endpoints reports the configured endpoint list.
-func (c *Client) Endpoints() []string { return append([]string(nil), c.bases...) }
-
-// endpoint is the currently preferred base URL.
-func (c *Client) endpoint() string {
-	return c.bases[c.cur.Load()%uint64(len(c.bases))]
-}
-
-// rotate moves to the next endpoint after from stopped answering; a
-// concurrent caller that already rotated wins (CAS), so a burst of
-// failures against one endpoint advances the cursor once.
-func (c *Client) rotate(from uint64) {
-	if len(c.bases) > 1 {
-		c.cur.CompareAndSwap(from, from+1)
 	}
 }
 
@@ -196,15 +163,13 @@ func (c *Client) submit(ctx context.Context, spec serve.Spec) (serve.JobView, er
 	if err != nil {
 		return serve.JobView{}, &permanentError{fmt.Errorf("serveclient: encode spec: %w", err)}
 	}
-	at := c.cur.Load()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint()+"/v1/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return serve.JobView{}, &permanentError{err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		c.rotate(at)
 		return serve.JobView{}, fmt.Errorf("serveclient: submit: %w", err)
 	}
 	defer resp.Body.Close()
@@ -216,11 +181,7 @@ func (c *Client) submit(ctx context.Context, spec serve.Spec) (serve.JobView, er
 			return serve.JobView{}, fmt.Errorf("serveclient: decode job view: %w", err)
 		}
 		return v, nil
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		// Draining or dead endpoint: prefer another one next attempt.
-		c.rotate(at)
-		return serve.JobView{}, &retryAfterError{status: resp.StatusCode, after: parseRetryAfter(resp.Header)}
-	case resp.StatusCode == http.StatusTooManyRequests:
+	case resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests:
 		return serve.JobView{}, &retryAfterError{status: resp.StatusCode, after: parseRetryAfter(resp.Header)}
 	case resp.StatusCode >= 500:
 		return serve.JobView{}, fmt.Errorf("serveclient: submit: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
@@ -275,14 +236,12 @@ func (c *Client) await(ctx context.Context, view serve.JobView) (*RunResult, err
 
 // getJob GETs one job view.
 func (c *Client) getJob(ctx context.Context, id string) (serve.JobView, int, error) {
-	at := c.cur.Load()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.endpoint()+"/v1/jobs/"+id, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return serve.JobView{}, 0, err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		c.rotate(at)
 		return serve.JobView{}, 0, err
 	}
 	defer resp.Body.Close()
@@ -309,14 +268,12 @@ func (c *Client) fetchResult(ctx context.Context, view serve.JobView) ([]byte, e
 				return nil, err
 			}
 		}
-		at := c.cur.Load()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.endpoint()+"/v1/jobs/"+view.ID+"/result", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+view.ID+"/result", nil)
 		if err != nil {
 			return nil, &permanentError{err}
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			c.rotate(at)
 			lastErr = err
 			continue
 		}

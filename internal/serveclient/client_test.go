@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,24 +69,28 @@ func TestRunFirstTry(t *testing.T) {
 	}
 }
 
-// TestRunRetriesTransientSubmitErrors drives the client through 500s and
-// a connection reset before letting a submit through.
+// TestRunRetriesTransientSubmitErrors drives the client through a 500, a
+// connection reset and a draining 503 before letting a submit through;
+// the 503's Retry-After paces the last retry.
 func TestRunRetriesTransientSubmitErrors(t *testing.T) {
 	const csv = "a,b\n1,2\n"
-	var submits int
+	var times []time.Time
 	var mu sync.Mutex
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
 			mu.Lock()
-			submits++
-			n := submits
+			times = append(times, time.Now())
+			n := len(times)
 			mu.Unlock()
 			switch n {
 			case 1:
 				http.Error(w, "boom", http.StatusInternalServerError)
 			case 2:
 				panic(http.ErrAbortHandler) // connection reset
+			case 3:
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, "draining", http.StatusServiceUnavailable)
 			default:
 				writeJSON(t, w, http.StatusOK, serve.JobView{ID: "j1", State: "done", Cache: "miss", Digest: digestOf(csv)})
 			}
@@ -103,8 +106,13 @@ func TestRunRetriesTransientSubmitErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Attempts != 3 {
-		t.Fatalf("Attempts = %d, want 3 (two transient failures)", res.Attempts)
+	if res.Attempts != 4 {
+		t.Fatalf("Attempts = %d, want 4 (three transient failures)", res.Attempts)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if gap := times[3].Sub(times[2]); gap < 900*time.Millisecond {
+		t.Fatalf("retry after the 503 arrived after %v; Retry-After: 1 demands ~1s", gap)
 	}
 }
 
@@ -350,89 +358,5 @@ func TestRunExhaustsAttempts(t *testing.T) {
 	_, err := New(srv.URL, opts).Run(context.Background(), spec(t))
 	if err == nil || !strings.Contains(err.Error(), "giving up after 3 attempts") {
 		t.Fatalf("Run error = %v, want attempt exhaustion", err)
-	}
-}
-
-// TestNewSplitsEndpointList: a comma-separated base becomes an ordered
-// endpoint list, whitespace and trailing slashes trimmed.
-func TestNewSplitsEndpointList(t *testing.T) {
-	c := New("http://a:1/, http://b:2 ,http://c:3", fastOpts())
-	got := c.Endpoints()
-	want := []string{"http://a:1", "http://b:2", "http://c:3"}
-	if len(got) != len(want) {
-		t.Fatalf("endpoints = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("endpoints = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestRunFailsOverToSecondEndpoint: the first endpoint is already dead
-// (connection refused), so the client rotates to the second and the run
-// succeeds there.
-func TestRunFailsOverToSecondEndpoint(t *testing.T) {
-	const csv = "a,b\n1,2\n"
-	alive := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			writeJSON(t, w, http.StatusOK, serve.JobView{ID: "j1", State: "done", Cache: "hit", Digest: digestOf(csv)})
-		case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs/j1/result":
-			w.Write([]byte(csv))
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer alive.Close()
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close() // refuse every connection
-
-	c := New(dead.URL+","+alive.URL, fastOpts())
-	res, err := c.Run(context.Background(), spec(t))
-	if err != nil {
-		t.Fatalf("Run with a dead first endpoint: %v", err)
-	}
-	if string(res.CSV) != csv || res.Attempts < 2 {
-		t.Fatalf("unexpected result: attempts=%d csv=%q", res.Attempts, res.CSV)
-	}
-}
-
-// TestRunRotatesAwayFromDrainingEndpoint: a 503 (draining endpoint)
-// moves the cursor so the retry lands on the healthy endpoint.
-func TestRunRotatesAwayFromDrainingEndpoint(t *testing.T) {
-	const csv = "a,b\n1,2\n"
-	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			writeJSON(t, w, http.StatusOK, serve.JobView{ID: "j1", State: "done", Cache: "hit", Digest: digestOf(csv)})
-		case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs/j1/result":
-			w.Write([]byte(csv))
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer healthy.Close()
-	var drainingHits int32
-	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		atomic.AddInt32(&drainingHits, 1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer draining.Close()
-
-	opts := fastOpts()
-	opts.Backoff = Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
-	c := New(draining.URL+","+healthy.URL, opts)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res, err := c.Run(ctx, spec(t))
-	if err != nil {
-		t.Fatalf("Run with a draining first endpoint: %v", err)
-	}
-	if string(res.CSV) != csv {
-		t.Fatalf("wrong csv %q", res.CSV)
-	}
-	if n := atomic.LoadInt32(&drainingHits); n != 1 {
-		t.Fatalf("draining endpoint was hit %d times, want exactly 1 (cursor should rotate away)", n)
 	}
 }

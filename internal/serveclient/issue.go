@@ -17,8 +17,7 @@ const (
 	IssueOK = "ok"
 	// IssueRejected: the server answered 429 (queue saturated).
 	IssueRejected = "rejected"
-	// IssueUnavailable: the server answered 503 (draining); the client
-	// rotated endpoints for next time.
+	// IssueUnavailable: the server answered 503 (draining).
 	IssueUnavailable = "unavailable"
 	// IssueFailed: the job was admitted but ended failed, canceled, or
 	// vanished.
@@ -45,10 +44,8 @@ type IssueResult struct {
 
 // Issue performs exactly one open-loop request: submit the spec once (no
 // retries, no resubmission), poll an admitted job to its terminal state,
-// and classify what happened. The endpoint-rotation rules match Run —
-// a transport error or 503 moves the preferred endpoint forward — so a
-// generator hammering several exaserve processes drifts off dead ones
-// without ever re-sending a request the measurement already counted.
+// and classify what happened — never re-sending a request the measurement
+// already counted.
 func (c *Client) Issue(ctx context.Context, spec serve.Spec) IssueResult {
 	start := time.Now()
 	view, err := c.submit(ctx, spec)

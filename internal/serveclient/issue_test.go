@@ -144,104 +144,3 @@ func TestIssueVanishedJob(t *testing.T) {
 		t.Fatalf("got %q, want %q", res.Class, IssueFailed)
 	}
 }
-
-// rotationHarness runs two live endpoints and returns which one served
-// each submit, so tests can assert the rotation order.
-type rotationHarness struct {
-	order *[]string
-	base  string
-	close func()
-}
-
-func newRotationHarness(t *testing.T, statusA int) *rotationHarness {
-	t.Helper()
-	order := &[]string{}
-	handler := func(name string, status int) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-				*order = append(*order, name)
-				if status != http.StatusOK {
-					w.WriteHeader(status)
-					return
-				}
-				writeJSON(t, w, http.StatusOK, serve.JobView{ID: "j1", State: "done", Cache: "hit"})
-				return
-			}
-			http.NotFound(w, r)
-		}
-	}
-	a := httptest.NewServer(handler("a", statusA))
-	b := httptest.NewServer(handler("b", http.StatusOK))
-	return &rotationHarness{
-		order: order,
-		base:  a.URL + "," + b.URL,
-		close: func() { a.Close(); b.Close() },
-	}
-}
-
-// TestIssueRotatesOn503: endpoint a drains (503); the first Issue reports
-// unavailable but rotates the preference, so the next Issue lands on b.
-func TestIssueRotatesOn503(t *testing.T) {
-	h := newRotationHarness(t, http.StatusServiceUnavailable)
-	defer h.close()
-	c := New(h.base, fastOpts())
-
-	first := c.Issue(context.Background(), spec(t))
-	if first.Class != IssueUnavailable {
-		t.Fatalf("first issue: got %q, want %q", first.Class, IssueUnavailable)
-	}
-	second := c.Issue(context.Background(), spec(t))
-	if second.Class != IssueOK {
-		t.Fatalf("second issue: got %q, want %q", second.Class, IssueOK)
-	}
-	if got := *h.order; len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("submit order %v, want [a b]", got)
-	}
-}
-
-// TestIssueRotatesOnTransportError: endpoint a is shut down entirely
-// (connection refused); the generator drifts to b without resending the
-// failed request.
-func TestIssueRotatesOnTransportError(t *testing.T) {
-	h := newRotationHarness(t, http.StatusOK)
-	defer h.close()
-	// Stand up a dead endpoint in front of the live pair's second server.
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	deadURL := dead.URL
-	dead.Close() // now nothing listens there
-
-	c := New(deadURL+","+h.base, fastOpts())
-
-	first := c.Issue(context.Background(), spec(t))
-	if first.Class != IssueError {
-		t.Fatalf("first issue: got %q (err %v), want %q", first.Class, first.Err, IssueError)
-	}
-	second := c.Issue(context.Background(), spec(t))
-	if second.Class != IssueOK {
-		t.Fatalf("second issue: got %q, want %q", second.Class, IssueOK)
-	}
-	if got := *h.order; len(got) != 1 || got[0] != "a" {
-		t.Fatalf("submit order %v, want [a] (the dead endpoint never records)", got)
-	}
-}
-
-// TestIssueNoRotationOn429: saturation is the shard's verdict, not the
-// endpoint's — a 429 must NOT move the cursor, or a loaded fleet would
-// thrash its per-process caches.
-func TestIssueNoRotationOn429(t *testing.T) {
-	h := newRotationHarness(t, http.StatusTooManyRequests)
-	defer h.close()
-	c := New(h.base, fastOpts())
-
-	for i := 0; i < 3; i++ {
-		res := c.Issue(context.Background(), spec(t))
-		if res.Class != IssueRejected {
-			t.Fatalf("issue %d: got %q, want %q", i, res.Class, IssueRejected)
-		}
-	}
-	for i, name := range *h.order {
-		if name != "a" {
-			t.Fatalf("submit %d went to %q: 429 must not rotate endpoints", i, name)
-		}
-	}
-}

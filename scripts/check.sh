@@ -13,7 +13,9 @@
 #      of the raw-speed passes: selection, analytic, rng (pins the
 #      seed-determinism, metrics-attachment-is-inert,
 #      single-flight/backpressure, checkpoint/resume, substream, and
-#      disabled-hooks-allocation-free tests under -race)
+#      disabled-hooks-allocation-free tests under -race), then the
+#      cancel/join/drain storm five more times under -race — the audit
+#      of serve's one-lock join/abandon protocol
 #   3. a fuzz smoke (10s per target) on the DES scheduler, the multilevel
 #      schedule search, the ReStore replica-loss bookkeeping, and the
 #      workload pattern reader
@@ -66,6 +68,9 @@ echo "== race detector on the audit harness, executors, cluster layer, machine m
 go test -race -count=1 ./internal/check/ ./internal/resilience/ ./internal/cluster/... \
 	./internal/machine/ ./internal/obs/... ./internal/experiments/ ./internal/serve/... ./internal/chaos/ \
 	./internal/serveclient/ ./internal/load/ ./internal/selection/ ./internal/analytic/ ./internal/rng/
+
+echo "== race audit of serve's join/abandon protocol"
+go test -race -count=5 -run '^TestPoolCancelDrainStress$' ./internal/serve/
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
 go test ./internal/des/ -run='^$' -fuzz='^FuzzSimulatorOrder$' -fuzztime="$FUZZTIME"
