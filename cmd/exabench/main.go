@@ -1,4 +1,4 @@
-// Command exabench runs the repository's exhibit benchmarks through
+// Command exabench runs the repository's benchmarks through
 // testing.Benchmark and writes a machine-readable summary so performance
 // regressions can be tracked between commits without parsing `go test
 // -bench` text output.
@@ -12,16 +12,19 @@
 //	-out FILE      where to write the JSON summary (default BENCH_results.json)
 //	-run NAME      run only benchmarks whose name contains NAME
 //	-list          print the benchmark names and exit
-//	-commit REV    stamp the report with a source revision (scripts/bench.sh
-//	               passes the current git commit)
+//	-commit REV    stamp the report with a source revision, e.g.
+//	               -commit "$(git rev-parse --short HEAD)"
 //	-baseline FILE compare against a previous report: print benchstat-style
 //	               ns/op, B/op, and allocs/op deltas per benchmark and exit
 //	               non-zero if any benchmark regressed by more than 10% in
 //	               time or allocations
 //
-// Each entry reports ns/op, bytes/op, and allocs/op for one exhibit at
-// the same reduced statistical scale as the root package's bench_test.go
-// (benchmarks measure harness cost, not paper numbers). The JSON schema:
+// exhibitBenches is the repository's one benchmark list: every table and
+// figure at a reduced statistical scale (benchmarks measure harness cost,
+// not paper numbers), the unit runs they multiply, and the design
+// ablations. `go test -bench . -benchmem ./cmd/exabench` runs the same
+// list as sub-benchmarks of BenchmarkExabench. Each entry reports ns/op,
+// bytes/op, and allocs/op. The JSON schema:
 //
 //	{
 //	  "go_version": "go1.24.x",
@@ -40,6 +43,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -77,7 +81,7 @@ type benchReport struct {
 	Results    []benchResult `json:"results"`
 }
 
-// bench names one exhibit benchmark.
+// bench names one benchmark.
 type bench struct {
 	name string
 	fn   func(b *testing.B)
@@ -137,8 +141,12 @@ func run(args []string) error {
 			AllocsPerOp: r.AllocsPerOp(),
 		}
 		report.Results = append(report.Results, res)
-		fmt.Printf("%-24s %12d ns/op %12d B/op %10d allocs/op\n",
+		fmt.Printf("%-24s %12d ns/op %12d B/op %10d allocs/op",
 			b.name, int64(res.NsPerOp), res.BytesPerOp, res.AllocsPerOp)
+		if eff, ok := r.Extra["efficiency"]; ok {
+			fmt.Printf(" %8.4f efficiency", eff)
+		}
+		fmt.Println()
 	}
 	if len(report.Results) == 0 {
 		return fmt.Errorf("no benchmarks matched %q", *match)
@@ -234,19 +242,34 @@ func diffReports(base *benchReport, cur benchReport) error {
 	return nil
 }
 
-// relDelta is (new-old)/old, and zero when the baseline is zero.
+// relDelta is (new-old)/old. Growth from a zero baseline is +Inf, so an
+// allocation-free entry that starts allocating fails the gate.
 func relDelta(old, new float64) float64 {
-	if old == 0 {
-		return 0
+	switch {
+	case old != 0:
+		return (new - old) / old
+	case new > 0:
+		return math.Inf(1)
 	}
-	return (new - old) / old
+	return 0
 }
 
-// exhibitBenches mirrors the root package's bench_test.go scales so the
-// JSON numbers are comparable with `go test -bench` runs. The exhibit
-// entries resolve through the shared experiments registry — the same
-// table cmd/exasim and internal/serve dispatch from — so a renamed or
-// removed exhibit fails here instead of silently dropping its benchmark.
+// techRunNames names the per-technique run entries; executor_run is
+// Parallel Recovery.
+var techRunNames = map[core.Technique]string{
+	core.CheckpointRestart:            "cr_run",
+	core.MultilevelCheckpoint:         "ml_run",
+	core.ParallelRecovery:             "executor_run",
+	core.PartialRedundancy:            "red1.5_run",
+	core.FullRedundancy:               "red2.0_run",
+	core.InMemoryReplicatedCheckpoint: "restore_run",
+	core.LightweightReplication:       "teampi_run",
+}
+
+// exhibitBenches is the benchmark list. The exhibit entries resolve through
+// the shared experiments registry — the same table cmd/exasim and
+// internal/serve dispatch from — so a renamed or removed exhibit fails here
+// instead of silently dropping its benchmark.
 func exhibitBenches() []bench {
 	reduced := experiments.Params{Trials: 10, Patterns: 2, Arrivals: 30}
 	fig5Params := reduced
@@ -269,7 +292,10 @@ func exhibitBenches() []bench {
 		TimeSteps:     360,
 		SizeFractions: []float64{0.01, 0.25},
 	}
-	return []bench{
+	// Entries that BENCH_results.json records keep their order, and new ones
+	// go after them: one-time cache fills amortize over b.N, so an entry's
+	// allocs/op depends on what ran before it in the process.
+	benches := []bench{
 		{"fig1", benchExhibit("fig1", reduced)},
 		{"fig2", benchExhibit("fig2", reduced)},
 		{"fig3", benchExhibit("fig3", reduced)},
@@ -281,11 +307,34 @@ func exhibitBenches() []bench {
 		{"fig5_vr", benchExhibit("fig5", fig5VR)},
 		{"batch_analytic", benchBatchAnalytic},
 		{"cluster_run", benchClusterRun},
-		{"executor_run", benchExecutorRun},
-		{"restore_run", benchReStoreRun},
-		{"teampi_run", benchTeamReplicationRun},
-		{"multilevel_optimizer", benchMultilevelOptimizer},
 	}
+	// One simulated execution per technique at a quarter-machine size: the
+	// unit of work every study multiplies. The deltas between entries are
+	// each technique's per-run bookkeeping, e.g. ReStore's replica sets and
+	// TeaMPI's doubled footprint with repair-window tracking.
+	quarter := exaresil.App{Class: exaresil.ClassC64, TimeSteps: 1440, Nodes: 30000}
+	for _, tech := range core.Techniques() {
+		benches = append(benches, bench{techRunNames[tech], benchRun(tech, quarter)})
+	}
+	benches = append(benches,
+		bench{"multilevel_optimizer", benchMultilevelOptimizer},
+		bench{"exact_markov_stretch", benchExactMarkovStretch},
+		bench{"table1", benchExhibit("table1", reduced)},
+		bench{"table2", benchExhibit("table2", reduced)})
+	// Ablations of the design choices in DESIGN.md §4.3: the optimized
+	// three-level schedule against a degenerate all-PFS pattern, and
+	// Parallel Recovery's rework speedup phi swept to show how much of its
+	// advantage is parallelized rework versus cheap in-memory checkpoints.
+	half := exaresil.App{Class: exaresil.ClassC64, TimeSteps: 1440, Nodes: 60000}
+	benches = append(benches,
+		bench{"ablation_multilevel", benchRun(exaresil.MultilevelCheckpoint, half)},
+		bench{"ablation_pfs_only", benchRun(exaresil.CheckpointRestart, half)})
+	halfA32 := exaresil.App{Class: exaresil.ClassA32, TimeSteps: 1440, Nodes: 60000}
+	for _, phi := range []float64{1, 4, 8, 16} {
+		benches = append(benches, bench{fmt.Sprintf("ablation_phi%g", phi),
+			benchRun(exaresil.ParallelRecovery, halfA32, exaresil.WithRecoverySpeedup(phi))})
+	}
+	return benches
 }
 
 // benchExhibit benchmarks one registry exhibit at a reduced statistical
@@ -412,6 +461,8 @@ func benchBatchAnalytic(b *testing.B) {
 	}
 }
 
+// benchClusterRun measures one full cluster simulation (the unit of
+// Figures 4-5).
 func benchClusterRun(b *testing.B) {
 	sim, err := exaresil.New()
 	if err != nil {
@@ -427,61 +478,42 @@ func benchClusterRun(b *testing.B) {
 	}
 }
 
-func benchExecutorRun(b *testing.B) {
-	sim, err := exaresil.New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	app := exaresil.App{Class: exaresil.ClassC64, TimeSteps: 1440, Nodes: 30000}
-	x, err := sim.Executor(exaresil.ParallelRecovery, app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Run(0, 1e9, src)
-	}
-}
-
-// benchReStoreRun and benchTeamReplicationRun mirror executor_run for the
-// post-2017 techniques, at the same class/size/horizon so the three entries
-// are directly comparable: the deltas are the per-run cost of the replica
-// bookkeeping (ReStore) and of the doubled footprint with repair-window
-// tracking (TeaMPI).
-func benchReStoreRun(b *testing.B) {
-	benchTechniqueRun(b, exaresil.InMemoryReplicatedCheckpoint)
-}
-
-func benchTeamReplicationRun(b *testing.B) {
-	benchTechniqueRun(b, exaresil.LightweightReplication)
-}
-
-func benchTechniqueRun(b *testing.B, tech exaresil.Technique) {
-	sim, err := exaresil.New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	app := exaresil.App{Class: exaresil.ClassC64, TimeSteps: 1440, Nodes: 30000}
-	x, err := sim.Executor(tech, app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Run(0, 1e9, src)
+// benchRun measures one simulated execution of tech on app per iteration,
+// under a simulator built with opts, and reports the mean efficiency.
+func benchRun(tech exaresil.Technique, app exaresil.App, opts ...exaresil.Option) func(b *testing.B) {
+	return func(b *testing.B) {
+		sim, err := exaresil.New(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := sim.Executor(tech, app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := rng.New(1)
+		var eff float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eff += x.Run(0, 1e9, src).Efficiency()
+		}
+		b.ReportMetric(eff/float64(b.N), "efficiency")
 	}
 }
 
+// multilevelCosts are the three-level checkpoint costs both schedule
+// benchmarks search and evaluate.
+var multilevelCosts = resilience.Costs{
+	L1:  units.Duration(0.0033),
+	L2:  units.Duration(0.0133),
+	PFS: 17 * units.Minute,
+}
+
+// benchMultilevelOptimizer measures the schedule search: a rate varies
+// slightly per iteration so the memoization cache misses for the first
+// 1000 distinct rate vectors and later iterations hit it — the mix a
+// cluster study actually sees.
 func benchMultilevelOptimizer(b *testing.B) {
-	costs := resilience.Costs{
-		L1:  units.Duration(0.0033),
-		L2:  units.Duration(0.0133),
-		PFS: 17 * units.Minute,
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rates := [3]units.Rate{
@@ -489,8 +521,21 @@ func benchMultilevelOptimizer(b *testing.B) {
 			0.0057,
 			0.0023,
 		}
-		if _, err := resilience.OptimizeMultilevel(costs, rates, resilience.DefaultMultilevelConfig()); err != nil {
+		if _, err := resilience.OptimizeMultilevel(multilevelCosts, rates, resilience.DefaultMultilevelConfig()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchExactMarkovStretch measures the O(N) Markov-chain evaluation of a
+// multilevel schedule (pattern length 576, the optimizer's maximum).
+func benchExactMarkovStretch(b *testing.B) {
+	rates := [3]units.Rate{0.0148, 0.0057, 0.0023}
+	sched := resilience.MultilevelSchedule{Interval: 1, L1PerL2: 24, L2PerL3: 24}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := sched.ExactStretch(multilevelCosts, rates); v <= 1 {
+			b.Fatal("implausible stretch")
 		}
 	}
 }

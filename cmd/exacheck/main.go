@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	exacheck [flags] [sweep|golden]...
+//	exacheck [flags] [sweep|golden|full]...
 //
 // With no mode arguments, "sweep" is assumed.
 //
@@ -21,6 +21,11 @@
 // -update after an intentional change (and justify the refresh in the
 // commit).
 //
+// The full mode regenerates every paper and extension exhibit ("all
+// ext-all") at exasim's full-scale defaults and byte-compares each CSV
+// with the committed copy under results/. With -update it rewrites the
+// CSVs that differ instead, naming each one.
+//
 // Flags:
 //
 //	-trials N   Monte-Carlo trials per sweep cell (default 30)
@@ -29,7 +34,8 @@
 //	-quick      sweep a reduced grid (one MTBF, two sizes)
 //	-vr         sweep with variance-reduced (antithetic paired) trials,
 //	            certifying the paired sampler against the same bands
-//	-update     golden: rewrite the manifest and fixtures instead of comparing
+//	-update     golden: rewrite the manifest and fixtures instead of comparing;
+//	            full: rewrite the results/ CSVs that differ
 //	-dir DIR    golden: fixture directory (default results/golden)
 package main
 
@@ -67,7 +73,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all CPUs)")
 	quick := fs.Bool("quick", false, "sweep a reduced grid")
 	vr := fs.Bool("vr", false, "sweep with variance-reduced (antithetic paired) trials")
-	update := fs.Bool("update", false, "golden: rewrite the manifest and fixtures")
+	update := fs.Bool("update", false, "golden: rewrite the manifest and fixtures; full: rewrite the results/ CSVs that differ")
 	dir := fs.String("dir", filepath.Join("results", "golden"), "golden fixture directory")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,8 +93,12 @@ func run(args []string) error {
 			if err := runGolden(*dir, *seed, *workers, *update); err != nil {
 				return err
 			}
+		case "full":
+			if err := runFull(*seed, *workers, *update); err != nil {
+				return err
+			}
 		default:
-			return fmt.Errorf("unknown mode %q (want sweep or golden)", mode)
+			return fmt.Errorf("unknown mode %q (want sweep, golden or full)", mode)
 		}
 	}
 	return nil
@@ -255,6 +265,55 @@ func runGolden(dir string, seed uint64, workers int, update bool) error {
 			strings.Join(diverged, "\n  "))
 	}
 	fmt.Printf("golden: %d exhibits match the manifest\n", len(digests))
+	return nil
+}
+
+// runFull regenerates every paper and extension exhibit at exasim's
+// full-scale defaults (-trials 200 -patterns 50) and byte-compares each CSV
+// with results/<name>.csv, or, with update set, rewrites the ones that
+// differ.
+func runFull(seed uint64, workers int, update bool) error {
+	cfg := experiments.Default()
+	if seed != 0 {
+		cfg.Seed = seed
+	}
+	cfg.Workers = workers
+	names, err := experiments.ExpandNames([]string{"all", "ext-all"})
+	if err != nil {
+		return err
+	}
+	var diverged []string
+	for _, name := range names {
+		start := time.Now()
+		ex, _ := experiments.Lookup(name)
+		t, _, err := ex.Run(cfg, experiments.Params{Trials: 200, Patterns: 50})
+		if err != nil {
+			return fmt.Errorf("full %s: %w", name, err)
+		}
+		var buf bytes.Buffer
+		if err := t.WriteCSV(&buf); err != nil {
+			return fmt.Errorf("full %s: %w", name, err)
+		}
+		path := filepath.Join("results", name+".csv")
+		committed, err := os.ReadFile(path)
+		if err == nil && bytes.Equal(committed, buf.Bytes()) {
+			fmt.Printf("full %-16s matches %s  (%v)\n", name, path, time.Since(start).Round(time.Millisecond))
+			continue
+		}
+		if !update {
+			diverged = append(diverged, path)
+			continue
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("full %-16s rewrote %s\n", name, path)
+	}
+	if len(diverged) > 0 {
+		return fmt.Errorf("full-scale exhibits differ from the committed CSVs (intentional? rerun with -update and justify):\n  %s",
+			strings.Join(diverged, "\n  "))
+	}
+	fmt.Printf("full: %d exhibits checked against results/\n", len(names))
 	return nil
 }
 

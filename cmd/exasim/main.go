@@ -30,6 +30,9 @@
 // Profiles are analyzed with the standard toolchain, e.g.
 // `go tool pprof exasim cpu.out`.
 //
+// Each exhibit's wall time is printed to stderr, so stdout is the same
+// bytes on every run at a fixed seed (results/full_run.txt is that output).
+//
 // The whole invocation is validated before any exhibit runs: unknown
 // exhibit names, non-positive -trials/-patterns, and -metrics paths with
 // an unsupported extension are usage errors and exit 2 immediately.
@@ -169,7 +172,8 @@ func run(args []string) error {
 			fmt.Println()
 			ch.Render(os.Stdout)
 		}
-		fmt.Printf("(%s regenerated in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
+		fmt.Fprintf(os.Stderr, "(%s regenerated in %v)\n", name, time.Since(start).Round(time.Millisecond))
 		if *csvDir != "" {
 			if err := writeCSV(t, *csvDir, name); err != nil {
 				return err
